@@ -21,6 +21,17 @@ constexpr int kBlock = 1024;
 constexpr float kUnusedRadius = -1.0f;
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
+// Writes a block's per-cluster member counts (block-shared `local`) to
+// column block_idx of the k x (blocks + 1) count matrix that the scan step
+// turns into slot offsets.
+void StoreBlockCounts(simt::BlockContext& b, const int* local, int k,
+                      int64_t blocks, int* counts) {
+  for (int i = 0; i < k; ++i) {
+    b.Store(&counts[int64_t{i} * (blocks + 1) + b.block_idx()],
+            b.Load(&local[i]));
+  }
+}
+
 }  // namespace
 
 GpuBackend::GpuBackend(const data::Matrix& data, Strategy strategy,
@@ -180,6 +191,10 @@ void GpuBackend::Setup(const ProclusParams& params,
     d_sel_mask_ = device_->Alloc<char>(static_cast<int64_t>(k) * d);
     d_row_counts_ = device_->Alloc<int>(k);
     d_radii_ = device_->Alloc<float>(k);
+    d_block_counts_ = device_->Alloc<int>(
+        static_cast<int64_t>(k) *
+        (BlocksFor(n, std::min(options_.assign_block_dim, kBlock)) + 1));
+    d_cost_partials_ = device_->Alloc<double>(static_cast<int64_t>(k) * d);
     k_capacity_ = k;
   }
   if (d_assignment_ == nullptr) {
@@ -311,17 +326,15 @@ IterationOutput GpuBackend::Iterate(const std::vector<int>& mcur_midx) {
   }
 
   // 2. Radii: distance to the nearest other medoid (Algorithm 3 lines 4-7).
-  // The independent bookkeeping zero-fills (Delta-L sizes for step 3,
-  // cluster sizes for AssignPoints) are issued alongside; with streams
-  // enabled they overlap the radius computation (§5.4's suggestion for the
-  // poorly utilized tiny kernels).
+  // The independent bookkeeping zero-fill (evaluate's per-block partial
+  // costs, which blocks of empty clusters leave untouched) is issued
+  // alongside; with streams enabled it overlaps the radius computation
+  // (§5.4's suggestion for the poorly utilized tiny kernels).
   {
     float* delta = d_delta_;
     const float* dist = d_dist_;
     const int* srows = d_slot_rows_;
     const int* ids = d_mcur_ids_;
-    int* dl_size = d_dl_size_;
-    int* c_size = d_c_size_;
     if (options_.use_streams) device_->BeginConcurrentRegion(2);
     simt::Fill(*device_, "fill_delta", delta, k, kInf);
     device_->Launch(
@@ -338,8 +351,8 @@ IterationOutput GpuBackend::Iterate(const std::vector<int>& mcur_midx) {
           });
         });
     if (options_.use_streams) device_->SetStream(1);
-    simt::Fill(*device_, "fill_dl_size", dl_size, k, 0);
-    simt::Fill(*device_, "fill_c_size", c_size, k, 0);
+    simt::Fill(*device_, "fill_cost_partials", d_cost_partials_,
+               static_cast<int64_t>(k) * params_.l, 0.0);
     if (options_.use_streams) device_->EndConcurrentRegion();
   }
   std::vector<float> delta_host(k);
@@ -368,18 +381,28 @@ IterationOutput GpuBackend::Iterate(const std::vector<int>& mcur_midx) {
   device_->CopyToDevice(d_lo_, lo.data(), k);
   device_->CopyToDevice(d_hi_, hi.data(), k);
   device_->CopyToDevice(d_lambda_, lambda.data(), k);
+  // Count -> scan -> stable scatter, so each list is in ascending point
+  // order whatever order the blocks run in: every block compacts its
+  // in-band points into its own stretch of a staging row and counts them;
+  // the scan turns the counts into slot offsets (and dl_size); the scatter
+  // moves each block's points to its offset. The staging rows live in c,
+  // which is dead until assign_points rewrites it.
   {
     int* dl = d_dl_;
-    int* dl_size = d_dl_size_;
+    int* stage = d_c_;
+    int* counts = d_block_counts_;
     const float* dist = d_dist_;
     const int* srows = d_slot_rows_;
     const float* dlo = d_lo_;
     const float* dhi = d_hi_;
     const int64_t bpn = BlocksFor(n, kBlock);
+    // Assumed in-band (appended) fraction of the k*n points, for pricing.
+    const double appended = 0.1 * k * n;
     device_->Launch(
         "build_delta_l", {static_cast<int64_t>(k) * bpn, kBlock},
-        simt::WorkEstimate{2.0 * k * n, 4.0 * k * n,
-                           0.1 * k * n /* appended fraction */},
+        simt::WorkEstimate{2.0 * k * n, 4.0 * k * n + 4.0 * appended +
+                                            4.0 * k * bpn,
+                           appended},
         [&, n](simt::BlockContext& b) {
           const int64_t i = b.block_idx() / bpn;
           const int64_t pb = b.block_idx() % bpn;
@@ -389,14 +412,31 @@ IterationOutput GpuBackend::Iterate(const std::vector<int>& mcur_midx) {
           const int64_t base = pb * kBlock;
           const float* drow = b.LoadSpan(
               dist + row * n + base, std::min<int64_t>(kBlock, n - base));
+          int* out = stage + i * n + base;
+          int* count = b.Shared<int>(1);
           b.ForEachThread([&](int tid) {
             const int64_t p = base + tid;
             if (p >= n) return;
             const float v = drow[tid];
             if (v > band_lo && v <= band_hi) {
-              const int slot = b.AtomicInc(&dl_size[i]);
-              b.Store(&dl[i * n + slot], static_cast<int>(p));
+              b.Store(&out[b.AtomicInc(count)], static_cast<int>(p));
             }
+          });
+          b.Store(&counts[i * (bpn + 1) + pb], b.Load(count));
+        });
+    simt::ExclusiveScanRows(*device_, "build_delta_l_scan", counts, k, bpn,
+                            d_dl_size_);
+    device_->Launch(
+        "build_delta_l_scatter", {static_cast<int64_t>(k) * bpn, kBlock},
+        simt::WorkEstimate{0.0, 8.0 * appended + 8.0 * k * bpn, 0.0},
+        [&, n](simt::BlockContext& b) {
+          const int64_t i = b.block_idx() / bpn;
+          const int64_t pb = b.block_idx() % bpn;
+          const int first = b.Load(&counts[i * (bpn + 1) + pb]);
+          const int size = b.Load(&counts[i * (bpn + 1) + pb + 1]) - first;
+          const int* src = b.LoadSpan(stage + i * n + pb * kBlock, size);
+          b.ForEachThreadStrided(size, [&](int64_t t) {
+            b.Store(&dl[i * n + first + t], src[t]);
           });
         });
     l_points_scanned_ += static_cast<int64_t>(k) * n;
@@ -495,9 +535,8 @@ IterationOutput GpuBackend::Iterate(const std::vector<int>& mcur_midx) {
   watch.Restart();
 
   // --- AssignPoints (Algorithm 5) -------------------------------------------
-  // The cluster-size reset already ran in the bookkeeping region above.
   obs::TraceSpan assign_span(trace_, "assign_points", "backend");
-  LaunchAssign(/*with_outliers=*/false, /*zero_c_size=*/false);
+  LaunchAssign(/*with_outliers=*/false);
   assign_span.End();
   phases_.assign_points += watch.ElapsedSeconds();
   watch.Restart();
@@ -505,7 +544,8 @@ IterationOutput GpuBackend::Iterate(const std::vector<int>& mcur_midx) {
   // --- EvaluateClusters (Algorithm 6) ----------------------------------------
   obs::TraceSpan eval_span(trace_, "evaluate", "backend");
   IterationOutput out;
-  out.cost = LaunchEvaluate(d_assignment_, n, &out.cluster_sizes);
+  // The partial costs were zeroed in the bookkeeping region above.
+  out.cost = LaunchEvaluate(n, &out.cluster_sizes, /*zero_partials=*/false);
   eval_span.End();
   phases_.evaluate += watch.ElapsedSeconds();
   return out;
@@ -669,7 +709,7 @@ void GpuBackend::UploadDims(const std::vector<int>& dims_flat,
   total_dims_ = dims_offset.back();
 }
 
-void GpuBackend::LaunchAssign(bool with_outliers, bool zero_c_size) {
+void GpuBackend::LaunchAssign(bool with_outliers) {
   const int64_t n = data_.rows();
   const int64_t d = data_.cols();
   const int k = params_.k;
@@ -680,15 +720,13 @@ void GpuBackend::LaunchAssign(bool with_outliers, bool zero_c_size) {
   const int* dims_offset = d_dims_offset_;
   const float* radii = d_radii_;
   int* assignment = d_assignment_;
-  int* c = d_c_;
-  int* c_size = d_c_size_;
-  if (zero_c_size) simt::Fill(*device_, "fill_c_size", c_size, k, 0);
+  int* counts = d_block_counts_;
   const int64_t bpn = BlocksFor(n, assign_block);
   device_->Launch(
       "assign_points", {bpn, assign_block},
       simt::WorkEstimate{2.0 * n * k * params_.l,
-                         4.0 * n * (k * params_.l + 2.0),
-                         2.0 * n},
+                         4.0 * n * (k * params_.l + 1.0) + 4.0 * k * bpn,
+                         1.0 * n},
       [&, n, with_outliers, assign_block](simt::BlockContext& b) {
         // Block-invariant inputs are span-checked once per block so the
         // per-point loop below runs on raw pointers (the medoid rows are
@@ -705,6 +743,7 @@ void GpuBackend::LaunchAssign(bool with_outliers, bool zero_c_size) {
             medoid_rows[i] = b.LoadSpan(data + int64_t{mids[i]} * d, d);
           }
         }
+        int* members = b.Shared<int>(k);
         b.ForEachThread([&](int tid) {
           const int64_t p = b.block_idx() * assign_block + tid;
           if (p >= n) return;
@@ -728,18 +767,48 @@ void GpuBackend::LaunchAssign(bool with_outliers, bool zero_c_size) {
           }
           const int cluster = (with_outliers && !within) ? kOutlier : arg;
           b.Store(&assignment[p], cluster);
-          if (cluster != kOutlier) {
-            const int slot = b.AtomicInc(&c_size[cluster]);
-            b.Store(&c[int64_t{cluster} * n + slot], static_cast<int>(p));
-          }
+          if (cluster != kOutlier) b.AtomicInc(&members[cluster]);
         });
+        StoreBlockCounts(b, members, k, bpn, counts);
       });
   segmental_distances_ += n * k;
+  ScanAndScatterClusters(assignment, assign_block, "assign_points_scan",
+                         "assign_points_scatter");
 }
 
-double GpuBackend::LaunchEvaluate(const int* assignment, int64_t assigned,
-                                  std::vector<int64_t>* sizes) {
-  (void)assignment;  // the cluster lists d_c_ already reflect it
+void GpuBackend::ScanAndScatterClusters(const int* labels, int block_dim,
+                                        const char* scan_name,
+                                        const char* scatter_name) {
+  const int64_t n = data_.rows();
+  const int k = params_.k;
+  const int64_t bpn = BlocksFor(n, block_dim);
+  int* counts = d_block_counts_;
+  int* c = d_c_;
+  simt::ExclusiveScanRows(*device_, scan_name, counts, k, bpn, d_c_size_);
+  device_->Launch(
+      scatter_name, {bpn, block_dim},
+      simt::WorkEstimate{0.0, 8.0 * n + 4.0 * k * bpn, 1.0 * n},
+      [&, n, k, bpn, block_dim](simt::BlockContext& b) {
+        // next[i]: the block's next slot in cluster i's list.
+        int* next = b.Shared<int>(k);
+        for (int i = 0; i < k; ++i) {
+          b.Store(&next[i],
+                  b.Load(&counts[int64_t{i} * (bpn + 1) + b.block_idx()]));
+        }
+        b.ForEachThread([&](int tid) {
+          const int64_t p = b.block_idx() * block_dim + tid;
+          if (p >= n) return;
+          const int cluster = b.Load(&labels[p]);
+          if (cluster == kOutlier) return;
+          b.Store(&c[int64_t{cluster} * n + b.AtomicInc(&next[cluster])],
+                  static_cast<int>(p));
+        });
+      });
+}
+
+double GpuBackend::LaunchEvaluate(int64_t assigned,
+                                  std::vector<int64_t>* sizes,
+                                  bool zero_partials) {
   const int64_t n = data_.rows();
   const int64_t d = data_.cols();
   const int k = params_.k;
@@ -748,15 +817,18 @@ double GpuBackend::LaunchEvaluate(const int* assignment, int64_t assigned,
   const int* c_size = d_c_size_;
   const int* dims_flat = d_dims_flat_;
   const int* dims_offset = d_dims_offset_;
-  double* cost = d_cost_;
-  const double zero = 0.0;
-  device_->CopyToDevice(d_cost_, &zero, 1);
+  double* partials = d_cost_partials_;
+  if (zero_partials) {
+    simt::Fill(*device_, "fill_cost_partials", partials, total_dims_, 0.0);
+  }
   // One block per selected (cluster, dimension) pair; the centroid
-  // coordinate lives in shared memory (Algorithm 6).
+  // coordinate lives in shared memory (Algorithm 6). Each block writes its
+  // share of the cost to partials[block]; evaluate_sum adds them up in
+  // block-index order.
   device_->Launch(
       "evaluate", {total_dims_, 256},
-      simt::WorkEstimate{4.0 * n * params_.l, 8.0 * n * params_.l,
-                         static_cast<double>(total_dims_)},
+      simt::WorkEstimate{4.0 * n * params_.l,
+                         8.0 * n * params_.l + 8.0 * total_dims_, 0.0},
       [&, n, d, k, assigned](simt::BlockContext& b) {
         // Resolve the (cluster, dim) pair of this block.
         int i = 0;
@@ -789,9 +861,11 @@ double GpuBackend::LaunchEvaluate(const int* assignment, int64_t assigned,
           dev += std::abs(static_cast<double>(b.Load(&data[p * d + j])) -
                           mean);
         });
-        b.AtomicAdd(cost, dev / (static_cast<double>(ndims) *
-                                 static_cast<double>(assigned)));
+        b.Store(&partials[b.block_idx()],
+                dev / (static_cast<double>(ndims) *
+                       static_cast<double>(assigned)));
       });
+  simt::SumInOrder(*device_, "evaluate_sum", partials, total_dims_, d_cost_);
   double cost_host = 0.0;
   device_->CopyToHost(&cost_host, d_cost_, 1);
   if (sizes != nullptr) {
@@ -828,24 +902,29 @@ void GpuBackend::Refine(const std::vector<int>& mbest_midx,
 
   const float* data = d_data_;
   const int* ids = d_mcur_ids_;
-  int* c = d_c_;
-  int* c_size = d_c_size_;
+  const int* c = d_c_;
+  const int* c_size = d_c_size_;
   const int* best = d_best_assignment_;
 
-  // L <- CBest: rebuild the cluster lists from the best assignment.
-  simt::Fill(*device_, "fill_c_size", c_size, k, 0);
-  device_->Launch("build_best_clusters", {BlocksFor(n, kBlock), kBlock},
-                  simt::WorkEstimate{0.0, 8.0 * n, 1.0 * n},
-                  [&, n](simt::BlockContext& b) {
-                    b.ForEachThread([&](int tid) {
-                      const int64_t p = b.block_idx() * kBlock + tid;
-                      if (p >= n) return;
-                      const int cluster = b.Load(&best[p]);
-                      const int slot = b.AtomicInc(&c_size[cluster]);
-                      b.Store(&c[int64_t{cluster} * n + slot],
-                              static_cast<int>(p));
+  // L <- CBest: rebuild the cluster lists from the best assignment (count,
+  // then the same scan and stable scatter as assign_points).
+  {
+    int* counts = d_block_counts_;
+    const int64_t bpn = BlocksFor(n, kBlock);
+    device_->Launch("build_best_clusters", {bpn, kBlock},
+                    simt::WorkEstimate{0.0, 4.0 * n + 4.0 * k * bpn,
+                                       1.0 * n},
+                    [&, n, k, bpn](simt::BlockContext& b) {
+                      int* members = b.Shared<int>(k);
+                      b.ForEachThread([&](int tid) {
+                        const int64_t p = b.block_idx() * kBlock + tid;
+                        if (p < n) b.AtomicInc(&members[b.Load(&best[p])]);
+                      });
+                      StoreBlockCounts(b, members, k, bpn, counts);
                     });
-                  });
+    ScanAndScatterClusters(best, kBlock, "build_best_clusters_scan",
+                           "build_best_clusters_scatter");
+  }
 
   // X over the best clusters.
   double* x = d_x_;
@@ -912,7 +991,9 @@ void GpuBackend::Refine(const std::vector<int>& mbest_midx,
   int64_t assigned = 0;
   for (const int64_t s : sizes) assigned += s;
   result->refined_cost =
-      assigned > 0 ? LaunchEvaluate(d_assignment_, assigned, nullptr) : 0.0;
+      assigned > 0
+          ? LaunchEvaluate(assigned, nullptr, /*zero_partials=*/true)
+          : 0.0;
 
   result->assignment.resize(n);
   device_->CopyToHost(result->assignment.data(), d_assignment_, n);

@@ -39,7 +39,13 @@ struct GpuBackendOptions {
 //   evaluate                                      (Algorithm 6, fused
 //                                                  centroid + cost)
 //   save_best / build_best_clusters / refine_x /
-//   compute_radii / assign_outliers               (refinement phase)
+//   compute_radii / assign_points                 (refinement phase)
+//
+// No result depends on block order, so the clustering is bit-identical at
+// any host worker count. The point lists (build_delta_l, assign_points,
+// build_best_clusters) are built count -> scan -> stable scatter, each
+// followed by a `<name>_scan` and a `<name>_scatter` kernel, and evaluate's
+// per-block costs are summed in block order by evaluate_sum.
 //
 // All device memory is allocated up-front from the device arena and reused
 // across iterations, as the paper prescribes; Device::peak_allocated_bytes()
@@ -93,14 +99,23 @@ class GpuBackend : public Backend {
   void UploadDims(const std::vector<int>& dims_flat,
                   const std::vector<int>& dims_offset);
 
-  // Launches assign_points; when `with_outliers` is true, points outside
-  // every medoid's radius (radii_dev_) are assigned kOutlier. `zero_c_size`
-  // skips the size-reset kernel when a stream region already ran it.
-  void LaunchAssign(bool with_outliers, bool zero_c_size = true);
+  // Launches assign_points and builds the cluster lists c / c_size from
+  // it; when `with_outliers` is true, points outside every medoid's radius
+  // (d_radii_) are assigned kOutlier and listed nowhere.
+  void LaunchAssign(bool with_outliers);
 
-  // Launches evaluate over `assignment` and returns the cost; fills sizes.
-  double LaunchEvaluate(const int* assignment, int64_t assigned,
-                        std::vector<int64_t>* sizes);
+  // Scan and stable scatter of the cluster lists: d_block_counts_ holds
+  // each block's member count per cluster for `labels` split into blocks
+  // of `block_dim` points; fills d_c_size_ and d_c_ (ascending point ids).
+  void ScanAndScatterClusters(const int* labels, int block_dim,
+                              const char* scan_name,
+                              const char* scatter_name);
+
+  // Launches evaluate over the cluster lists and returns the cost; fills
+  // sizes. `zero_partials` zeroes the per-block partial costs first; pass
+  // false when a stream region already did.
+  double LaunchEvaluate(int64_t assigned, std::vector<int64_t>* sizes,
+                        bool zero_partials);
 
   const data::Matrix& data_;
   const Strategy strategy_;
@@ -140,6 +155,8 @@ class GpuBackend : public Backend {
   char* d_sel_mask_ = nullptr;    // k x d (device dimension selection)
   int* d_row_counts_ = nullptr;   // k
   float* d_radii_ = nullptr;      // k
+  int* d_block_counts_ = nullptr;  // k x (blocks + 1) (count -> scan)
+  double* d_cost_partials_ = nullptr;  // k x d (evaluate, per block)
   // Greedy scratch.
   float* d_greedy_dist_ = nullptr;
   int* d_greedy_cand_ = nullptr;

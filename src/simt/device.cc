@@ -1,13 +1,59 @@
 #include "simt/device.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <numeric>
+#include <thread>
 
 #include "common/env.h"
+#include "common/rng.h"
 
 namespace proclus::simt {
 
 namespace {
 constexpr size_t kMinChunkBytes = 8ULL << 20;  // 8 MiB
+// Launches of at most this many simulated threads (grid x block) run on the
+// calling thread: handing a grid to the host pool costs tens of
+// microseconds (waking the workers), more than such a grid takes to
+// simulate.
+constexpr int64_t kInlineLaunchThreads = 4096;
+// Block ranges per host worker on a multi-worker launch. Several per worker
+// so that grids with irregular blocks (evaluate, update_h) balance.
+constexpr int64_t kRangesPerWorker = 8;
+// Yields the calling thread spends waiting for the last ranges of a
+// multi-worker launch before it sleeps; sleeping right away would add a
+// wake-up to every launch, spinning on would take a core from the devices
+// that share the host.
+constexpr int kWaitYields = 64;
+
+// One multi-worker launch, shared by the calling thread and the pool tasks.
+// Heap-owned by every task: a task that a worker picks up only after the
+// grid is done finds no range left and returns without touching the
+// launch's (by then gone) body or arenas.
+struct GridRun {
+  const std::function<void(BlockContext&)>* body;
+  LaunchConfig cfg;
+  int64_t range;
+  std::atomic<int64_t> next{0};  // first block of the next unclaimed range
+  std::atomic<int64_t> done{0};  // blocks finished
+};
+
+void RunRanges(GridRun& run, std::vector<char>* shared) {
+  for (;;) {
+    const int64_t lo = run.next.fetch_add(run.range, std::memory_order_relaxed);
+    if (lo >= run.cfg.grid_dim) return;
+    const int64_t hi = std::min(run.cfg.grid_dim, lo + run.range);
+    for (int64_t b = lo; b < hi; ++b) {
+      BlockContext block(b, run.cfg, shared);
+      (*run.body)(block);
+    }
+    if (run.done.fetch_add(hi - lo, std::memory_order_release) + (hi - lo) ==
+        run.cfg.grid_dim) {
+      run.done.notify_all();
+    }
+  }
+}
 }  // namespace
 
 bool SimtcheckEnvDefault() {
@@ -15,12 +61,13 @@ bool SimtcheckEnvDefault() {
 }
 
 Device::Device(DeviceProperties props, DeviceOptions options)
-    : props_(props), pool_(options.host_workers), perf_model_(props) {
+    : props_(props),
+      pool_(options.host_workers),
+      perf_model_(props),
+      shared_arenas_(1, std::vector<char>(kSharedMemoryBytes)) {
+  shared_arenas_.reserve(pool_.num_threads());
   if (options.sanitize) sanitizer_ = std::make_unique<Sanitizer>();
 }
-
-Device::Device(DeviceProperties props, int host_workers)
-    : Device(props, DeviceOptions{host_workers, SimtcheckEnvDefault()}) {}
 
 char* Device::AllocBytes(size_t bytes, size_t alignment) {
   if (bytes == 0) bytes = alignment;
@@ -145,40 +192,59 @@ void Device::Launch(const char* name, LaunchConfig cfg,
   }
   if (cfg.grid_dim == 0) return;
   if (sanitizer_ != nullptr) {
-    // Checked mode: run blocks in order on the calling thread so the shadow
-    // state needs no locking and reports are deterministic.
+    // Checked mode: run blocks one at a time on the calling thread so the
+    // shadow state needs no locking, in a permutation seeded from the launch
+    // sequence number so that a kernel whose result depends on block order
+    // differs from its unchecked run even on one core.
     sanitizer_->BeginLaunch(name, cfg.grid_dim, cfg.block_dim);
-    std::vector<char> shared(kSharedMemoryBytes);
-    for (int64_t b = 0; b < cfg.grid_dim; ++b) {
-      BlockContext block(b, cfg, &shared, sanitizer_.get());
+    std::vector<int64_t> order(cfg.grid_dim);
+    std::iota(order.begin(), order.end(), int64_t{0});
+    Rng(sanitizer_->launch_id()).Shuffle(order);
+    for (const int64_t b : order) {
+      BlockContext block(b, cfg, &shared_arenas_[0], sanitizer_.get());
       body(block);
     }
     sanitizer_->EndLaunch();
     return;
   }
-  if (pool_.num_threads() == 1 || cfg.grid_dim == 1) {
-    // Single host worker: run blocks in order on the calling thread. This is
-    // the fully deterministic path.
-    std::vector<char> shared(kSharedMemoryBytes);
+  if (pool_.num_threads() == 1 || cfg.grid_dim == 1 ||
+      cfg.grid_dim * cfg.block_dim <= kInlineLaunchThreads) {
     for (int64_t b = 0; b < cfg.grid_dim; ++b) {
-      BlockContext block(b, cfg, &shared);
+      BlockContext block(b, cfg, &shared_arenas_[0]);
       body(block);
     }
     return;
   }
-  // Multi-worker hosts: distribute contiguous ranges of blocks.
-  const int64_t workers = pool_.num_threads();
-  const int64_t per_worker = (cfg.grid_dim + workers - 1) / workers;
-  parallel::ParallelForChunked(
-      pool_, 0, cfg.grid_dim,
-      [&](int64_t lo, int64_t hi) {
-        std::vector<char> shared(kSharedMemoryBytes);
-        for (int64_t b = lo; b < hi; ++b) {
-          BlockContext block(b, cfg, &shared);
-          body(block);
-        }
-      },
-      per_worker);
+  // Multi-worker: the calling thread and up to workers - 1 pool threads
+  // claim block ranges from a shared cursor. The caller waits for the
+  // blocks, not for the tasks, so a worker that wakes up late costs
+  // nothing.
+  const int64_t workers =
+      std::min<int64_t>(pool_.num_threads(), cfg.grid_dim);
+  if (static_cast<int64_t>(shared_arenas_.size()) < workers) {
+    shared_arenas_.resize(workers, std::vector<char>(kSharedMemoryBytes));
+  }
+  auto run = std::make_shared<GridRun>();
+  run->body = &body;
+  run->cfg = cfg;
+  run->range =
+      std::max<int64_t>(1, cfg.grid_dim / (workers * kRangesPerWorker));
+  for (int64_t w = 1; w < workers; ++w) {
+    pool_.Submit([run, shared = &shared_arenas_[w]] {
+      RunRanges(*run, shared);
+    });
+  }
+  RunRanges(*run, &shared_arenas_[0]);
+  int64_t done = 0;
+  for (int spin = 0;
+       (done = run->done.load(std::memory_order_acquire)) < cfg.grid_dim;
+       ++spin) {
+    if (spin < kWaitYields) {
+      std::this_thread::yield();
+    } else {
+      run->done.wait(done, std::memory_order_acquire);
+    }
+  }
 }
 
 }  // namespace proclus::simt

@@ -36,12 +36,16 @@ bool SimtcheckEnvDefault();
 
 // Construction-time device knobs.
 struct DeviceOptions {
-  // Host worker threads that execute thread blocks (0 = single-threaded).
+  // Host worker threads that execute thread blocks. 0 selects one per
+  // hardware thread (the ThreadPool default); 1 runs every block on the
+  // calling thread. Results do not depend on this (see Device::Launch).
   int host_workers = 0;
   // Checked execution (simtcheck): shadow-track every access made through
   // the BlockContext accessors and report GPU-semantics violations (races,
-  // out-of-bounds, use-after-reset). Forces single-threaded block execution
-  // so reports are deterministic. See src/simt/sanitizer.h / docs/simt.md.
+  // out-of-bounds, use-after-reset). Runs blocks one at a time on the
+  // calling thread, in a permutation seeded from the launch sequence
+  // number, so reports are reproducible and any dependence on block order
+  // changes the result. See src/simt/sanitizer.h / docs/simt.md.
   bool sanitize = SimtcheckEnvDefault();
 };
 
@@ -54,9 +58,13 @@ struct DeviceOptions {
 // sequence of thread phases, exactly mirroring the paper's pseudo-code
 // ("synchronize threads" = start a new ForEachThread phase).
 //
-// Memory written by other blocks must be accessed through the atomics in
-// simt/atomic.h (or the AtomicAdd/... wrappers below), since blocks may run
-// concurrently on host worker threads.
+// Blocks may run concurrently on host worker threads and in any order, so
+// no result may depend on block order. Memory that several blocks of one
+// launch update goes through the atomics in simt/atomic.h (or the
+// AtomicAdd/... wrappers below), and only with order-independent operations
+// (integer add, min, max). Ordered results (member lists, float sums) are
+// built from per-block partials that a later launch combines in block-index
+// order (docs/simt.md, "Determinism contract").
 //
 // Kernels access memory through the checked accessors (Load/Store/
 // LoadSpan/Atomic*). With sanitize off these are the raw loads and stores
@@ -352,8 +360,6 @@ class Device {
  public:
   explicit Device(DeviceProperties props = DeviceProperties::Gtx1660Ti(),
                   DeviceOptions options = DeviceOptions());
-  // Legacy convenience: worker count only, other options at defaults.
-  Device(DeviceProperties props, int host_workers);
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -426,10 +432,13 @@ class Device {
 
   // --- Kernel launch -------------------------------------------------------
 
-  // Launches `body` once per block in `cfg`, distributing blocks over the
-  // host pool, and blocks until the grid completes (kernel launches in the
-  // paper's host code are implicitly ordered; we keep that semantics).
-  // `work` is the launch's total work estimate for the performance model.
+  // Launches `body` once per block in `cfg` and blocks until the grid
+  // completes (kernel launches in the paper's host code are implicitly
+  // ordered; we keep that semantics). Grids of more than a few thousand
+  // simulated threads are split into several block ranges per host worker,
+  // claimed dynamically so irregular grids balance; smaller ones run on the
+  // calling thread. `work` is the launch's total work estimate for the
+  // performance model.
   void Launch(const char* name, LaunchConfig cfg, const WorkEstimate& work,
               const std::function<void(BlockContext&)>& body);
 
@@ -489,6 +498,12 @@ class Device {
   parallel::ThreadPool pool_;
   PerfModel perf_model_;
   std::unique_ptr<Sanitizer> sanitizer_;
+  // Block-shared memory, one kSharedMemoryBytes arena per host thread that
+  // runs blocks (the first for the calling thread), reused across launches.
+  // The first is allocated with the device, so its addresses can never be
+  // those of an arena chunk released by FreeAll(). Capacity is reserved for
+  // every worker up front, so growing it never moves an arena.
+  std::vector<std::vector<char>> shared_arenas_;
 
   struct Chunk {
     std::unique_ptr<char[]> data;

@@ -58,8 +58,8 @@ double PerfModel::EstimateSeconds(int64_t grid_dim, int block_dim,
   const double compute_seconds = work.flops / effective_flops;
   const double memory_seconds =
       work.bytes / (props_.mem_bandwidth_gbps * 1e9);
-  // Global atomics serialize per memory location; model them as a fixed
-  // cycle cost distributed over the SMs.
+  // Atomics serialize per memory location; model them as a fixed cycle
+  // cost distributed over the SMs.
   const double atomic_seconds = work.atomics * props_.atomic_cost_cycles /
                                 (props_.clock_ghz * 1e9 * props_.sm_count);
   return props_.kernel_launch_overhead_us * 1e-6 +

@@ -18,7 +18,10 @@ namespace proclus::simt {
 struct WorkEstimate {
   double flops = 0.0;    // arithmetic operations across all threads
   double bytes = 0.0;    // global-memory traffic across all threads
-  double atomics = 0.0;  // global atomic operations across all threads
+  // Serialized atomic updates across all threads: global atomics and the
+  // slot reservations on a block's shared counters (a few hot addresses
+  // per block serialize just the same).
+  double atomics = 0.0;
 };
 
 // Occupancy figures in the style of NVIDIA Nsight Compute (paper §5.4).

@@ -36,7 +36,8 @@
 // a race — same best-effort contract as racecheck.
 //
 // The checker is not thread safe; the device runs a sanitized launch on a
-// single host thread, which also makes reports deterministic.
+// single host thread, in a block order seeded from the launch sequence
+// number, which also makes reports reproducible.
 
 #include <cstddef>
 #include <cstdint>
@@ -113,6 +114,9 @@ class Sanitizer {
 
   void BeginLaunch(const char* name, int64_t grid_dim, int block_dim);
   void EndLaunch();
+  // Sequence number of the current (or last) launch; starts at 1 and is
+  // never reset, so it also seeds the checked-mode block order.
+  uint32_t launch_id() const { return launch_id_; }
 
   // --- Checks ---------------------------------------------------------------
 

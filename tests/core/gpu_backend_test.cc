@@ -67,7 +67,11 @@ TEST(GpuBackendTest, ExpectedKernelsWereLaunched) {
        {"greedy_dist", "greedy_select", "greedy_update", "compute_dist",
         "compute_delta", "build_delta_l", "update_h", "update_l_size",
         "compute_x", "compute_z", "assign_points", "evaluate", "save_best",
-        "build_best_clusters", "refine_x", "compute_radii"}) {
+        "build_best_clusters", "refine_x", "compute_radii",
+        // count -> scan -> scatter and the in-order cost sum
+        "build_delta_l_scan", "build_delta_l_scatter", "assign_points_scan",
+        "assign_points_scatter", "build_best_clusters_scan",
+        "build_best_clusters_scatter", "evaluate_sum"}) {
     EXPECT_TRUE(names.count(expected)) << "missing kernel " << expected;
   }
 }
@@ -203,20 +207,34 @@ TEST(GpuBackendTest, ModeledTimeScalesWithN) {
 }
 
 TEST(GpuBackendTest, MultiWorkerDeviceSameClustering) {
-  // Thread blocks genuinely run on several host threads; the clustering
-  // decisions must not depend on the resulting atomic-update order.
-  const data::Dataset ds = TestData(3000);
-  simt::Device single(simt::DeviceProperties::Gtx1660Ti(),
-                      /*host_workers=*/1);
-  simt::Device multi(simt::DeviceProperties::Gtx1660Ti(),
-                     /*host_workers=*/4);
-  const ProclusResult a = RunGpu(ds, Strategy::kFast, &single);
-  const ProclusResult b = RunGpu(ds, Strategy::kFast, &multi);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.medoids, b.medoids);
-  EXPECT_EQ(a.dimensions, b.dimensions);
-  EXPECT_NEAR(a.iterative_cost, b.iterative_cost,
-              1e-9 * (1.0 + a.iterative_cost));
+  // Thread blocks genuinely run on several host threads, in whatever order
+  // the workers claim them; no kernel result may depend on that order, so
+  // the runs must agree bit for bit, work counters included.
+  const data::Dataset ds = TestData(20000);
+  for (const Strategy strategy :
+       {Strategy::kBaseline, Strategy::kFast, Strategy::kFastStar}) {
+    SCOPED_TRACE(StrategyName(strategy));
+    simt::DeviceOptions one_worker;
+    one_worker.host_workers = 1;
+    simt::DeviceOptions four_workers;
+    four_workers.host_workers = 4;
+    simt::Device single(simt::DeviceProperties::Gtx1660Ti(), one_worker);
+    simt::Device multi(simt::DeviceProperties::Gtx1660Ti(), four_workers);
+    const ProclusResult a = RunGpu(ds, strategy, &single);
+    const ProclusResult b = RunGpu(ds, strategy, &multi);
+    EXPECT_EQ(a.assignment, b.assignment);
+    EXPECT_EQ(a.medoids, b.medoids);
+    EXPECT_EQ(a.dimensions, b.dimensions);
+    EXPECT_EQ(a.iterative_cost, b.iterative_cost);
+    EXPECT_EQ(a.refined_cost, b.refined_cost);
+    EXPECT_EQ(a.stats.iterations, b.stats.iterations);
+    EXPECT_EQ(a.stats.euclidean_distances, b.stats.euclidean_distances);
+    EXPECT_EQ(a.stats.l_points_scanned, b.stats.l_points_scanned);
+    EXPECT_EQ(a.stats.segmental_distances, b.stats.segmental_distances);
+    EXPECT_EQ(a.stats.greedy_distances, b.stats.greedy_distances);
+    EXPECT_EQ(a.stats.modeled_gpu_seconds, b.stats.modeled_gpu_seconds);
+    EXPECT_EQ(a.stats.device_peak_bytes, b.stats.device_peak_bytes);
+  }
 }
 
 TEST(GpuBackendTest, DeviceOutOfMemoryAborts) {

@@ -295,13 +295,17 @@ TEST(LoopbackTest, AsyncStatusAndCancelLifecycle) {
   Loopback loop(service_options);
   ASSERT_TRUE(loop.service->RegisterDataset("d", ds.points).ok());
 
-  // A worker-occupying job plus the async job under test, so the latter
-  // is still queued when we cancel it.
+  // A job that occupies the lone worker until the test cancels it, plus
+  // the async job under test, so the latter is still queued when we cancel
+  // it however slowly the host runs.
   Request blocker;
   blocker.type = RequestType::kSubmitSweep;
   blocker.dataset_id = "d";
   blocker.params = TestParams();
-  blocker.sweep.settings = {{3, 3}, {4, 4}, {5, 4}};
+  for (int i = 0; i < 200; ++i) {
+    blocker.sweep.settings.insert(blocker.sweep.settings.end(),
+                                  {{3, 3}, {4, 4}, {5, 4}});
+  }
   blocker.sweep.reuse = core::ReuseLevel::kNone;
   blocker.options = core::ClusterOptions::Cpu(core::Strategy::kBaseline);
   blocker.wait = false;
@@ -340,6 +344,8 @@ TEST(LoopbackTest, AsyncStatusAndCancelLifecycle) {
   ASSERT_TRUE(loop.client.GetStatus(999999, false, &unknown).ok());
   EXPECT_FALSE(unknown.ok);
   EXPECT_EQ(unknown.error.code, StatusCode::kInvalidArgument);
+
+  ASSERT_TRUE(loop.client.Cancel(blocker_id).ok());
 }
 
 TEST(LoopbackTest, OverBudgetConnectionIsShedWithRetryableError) {

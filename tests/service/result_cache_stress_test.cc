@@ -55,6 +55,19 @@ JobSpec SlowJob(const data::Matrix& data, uint64_t seed = 42) {
                         core::ClusterOptions::Cpu(core::Strategy::kBaseline));
 }
 
+// A job that keeps the lone worker busy until the test cancels it: the
+// same slow sweep, repeated far beyond any test's lifetime. Cancellation is
+// checked between settings, so Cancel() frees the worker promptly.
+JobSpec BlockerJob(const data::Matrix& data) {
+  JobSpec spec = SlowJob(data, /*seed=*/1);
+  const std::vector<core::ParamSetting> settings = spec.sweep.settings;
+  for (int i = 0; i < 500; ++i) {
+    spec.sweep.settings.insert(spec.sweep.settings.end(), settings.begin(),
+                               settings.end());
+  }
+  return spec;
+}
+
 ServiceOptions CachingOptions() {
   ServiceOptions options;
   options.result_cache_bytes = 32 << 20;
@@ -174,10 +187,10 @@ TEST(ResultCacheStressTest, DedupWorksUnderQueueFullBackpressure) {
   options.queue_capacity = 1;
   ProclusService service(options);
 
-  // Occupy the lone worker, then fill the one queue slot with the leader.
+  // Occupy the lone worker until the test releases it, then fill the one
+  // queue slot with the leader.
   JobHandle blocker;
-  ASSERT_TRUE(
-      service.Submit(SlowJob(ds.points, /*seed=*/1), &blocker).ok());
+  ASSERT_TRUE(service.Submit(BlockerJob(ds.points), &blocker).ok());
   SpinUntilRunning(blocker);
   JobHandle leader;
   ASSERT_TRUE(service.Submit(SlowJob(ds.points, /*seed=*/2), &leader).ok());
@@ -206,6 +219,8 @@ TEST(ResultCacheStressTest, DedupWorksUnderQueueFullBackpressure) {
       service.Submit(SlowJob(ds.points, /*seed=*/3), &distinct);
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
 
+  blocker.Cancel();
+  EXPECT_EQ(blocker.Wait().status.code(), StatusCode::kCancelled);
   ASSERT_TRUE(leader.Wait().status.ok());
   for (int t = 0; t < kJoiners; ++t) {
     const JobResult& result = joiners[t].Wait();
@@ -223,8 +238,7 @@ TEST(ResultCacheStressTest, CancelledLeaderFansCancellationToJoiners) {
   ProclusService service(options);
 
   JobHandle blocker;
-  ASSERT_TRUE(
-      service.Submit(SlowJob(ds.points, /*seed=*/1), &blocker).ok());
+  ASSERT_TRUE(service.Submit(BlockerJob(ds.points), &blocker).ok());
   SpinUntilRunning(blocker);
 
   JobHandle leader;
@@ -251,8 +265,8 @@ TEST(ResultCacheStressTest, CancelledLeaderFansCancellationToJoiners) {
     EXPECT_EQ((*callback_counts)[t].load(), 1);
   }
   // The key is not poisoned (nothing was cached for it): a fresh identical
-  // submit misses, leads and succeeds. (The blocker may have inserted its
-  // own unrelated entry by now, so total inserts is not asserted.)
+  // submit misses, leads and succeeds.
+  blocker.Cancel();
   JobHandle retry;
   ASSERT_TRUE(service.Submit(SlowJob(ds.points, /*seed=*/2), &retry).ok());
   const JobResult& retried = retry.Wait();
@@ -267,8 +281,7 @@ TEST(ResultCacheStressTest, CancelledJoinerDoesNotDisturbTheFlight) {
   ProclusService service(options);
 
   JobHandle blocker;
-  ASSERT_TRUE(
-      service.Submit(SlowJob(ds.points, /*seed=*/1), &blocker).ok());
+  ASSERT_TRUE(service.Submit(BlockerJob(ds.points), &blocker).ok());
   SpinUntilRunning(blocker);
 
   JobHandle leader;
@@ -286,6 +299,7 @@ TEST(ResultCacheStressTest, CancelledJoinerDoesNotDisturbTheFlight) {
 
   cancelled_joiner.Cancel();
   EXPECT_EQ(cancelled_joiner.Wait().status.code(), StatusCode::kCancelled);
+  blocker.Cancel();
 
   // Leader and the other joiner are unaffected and agree bit-for-bit.
   const JobResult& lead_result = leader.Wait();

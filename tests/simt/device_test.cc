@@ -157,7 +157,9 @@ TEST(DeviceLaunchTest, ModeledTimeAccumulates) {
 }
 
 TEST(DeviceLaunchTest, AtomicsAcrossBlocksSumCorrectly) {
-  Device device(DeviceProperties::Gtx1660Ti(), /*host_workers=*/4);
+  DeviceOptions options;
+  options.host_workers = 4;
+  Device device(DeviceProperties::Gtx1660Ti(), options);
   double* sum = device.Alloc<double>(1);
   device.Launch("atomic_sum", {256, 128}, {}, [&](BlockContext& b) {
     b.ForEachThread([&](int) { AtomicAdd(sum, 1.0); });

@@ -53,8 +53,9 @@ TEST(ReduceSumTest, MatchesSequentialSum) {
   const int64_t n = 12345;
   double* values = device.Alloc<double>(n);
   for (int64_t i = 0; i < n; ++i) values[i] = 0.5 * static_cast<double>(i);
+  double* partials = device.Alloc<double>(ReducePartials(n));
   double* out = device.Alloc<double>(1);
-  const double sum = ReduceSum(device, "sum", values, n, out);
+  const double sum = ReduceSum(device, "sum", values, n, partials, out);
   EXPECT_DOUBLE_EQ(sum, *out);
   EXPECT_NEAR(sum, 0.5 * n * (n - 1) / 2.0, 1e-6);
 }
@@ -62,7 +63,55 @@ TEST(ReduceSumTest, MatchesSequentialSum) {
 TEST(ReduceSumTest, EmptyIsZero) {
   Device device;
   double* out = device.Alloc<double>(1);
-  EXPECT_EQ(ReduceSum(device, "sum", nullptr, 0, out), 0.0);
+  EXPECT_EQ(ReduceSum(device, "sum", nullptr, 0, nullptr, out), 0.0);
+}
+
+TEST(ReduceSumTest, BitIdenticalAtAnyWorkerCount) {
+  // Values whose float sum depends on the order of addition: the per-block
+  // partials are folded in block-index order, so several host workers
+  // must give the 1-worker bits exactly.
+  const int64_t n = 1 << 18;
+  double expected = 0.0;
+  for (const int workers : {1, 2, 4}) {
+    DeviceOptions options;
+    options.host_workers = workers;
+    Device device(DeviceProperties::Gtx1660Ti(), options);
+    double* values = device.Alloc<double>(n);
+    for (int64_t i = 0; i < n; ++i) {
+      values[i] = 1.0 / static_cast<double>(1 + (i * 7919) % 1009) +
+                  (i % 3 == 0 ? 1e8 : -1e8 / 3.0);
+    }
+    double* partials = device.Alloc<double>(ReducePartials(n));
+    double* out = device.Alloc<double>(1);
+    for (int rep = 0; rep < 5; ++rep) {
+      const double sum = ReduceSum(device, "sum", values, n, partials, out);
+      if (workers == 1 && rep == 0) expected = sum;
+      EXPECT_EQ(sum, expected) << workers << " workers, rep " << rep;
+    }
+  }
+}
+
+TEST(ExclusiveScanRowsTest, OffsetsAndTotalsPerRow) {
+  Device device;
+  const int64_t rows = 3;
+  const int64_t cols = 1000;  // more than one scan block's threads
+  int* counts = device.Alloc<int>(rows * (cols + 1));
+  int* totals = device.Alloc<int>(rows);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t j = 0; j < cols; ++j) {
+      counts[r * (cols + 1) + j] = static_cast<int>((r + 1) * (j % 5));
+    }
+  }
+  ExclusiveScanRows(device, "scan", counts, rows, cols, totals);
+  for (int64_t r = 0; r < rows; ++r) {
+    int expected = 0;
+    for (int64_t j = 0; j < cols; ++j) {
+      ASSERT_EQ(counts[r * (cols + 1) + j], expected) << r << "," << j;
+      expected += static_cast<int>((r + 1) * (j % 5));
+    }
+    EXPECT_EQ(counts[r * (cols + 1) + cols], expected);
+    EXPECT_EQ(totals[r], expected);
+  }
 }
 
 TEST(ReduceMinMaxTest, FindExtremes) {

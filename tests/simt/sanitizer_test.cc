@@ -5,6 +5,7 @@
 
 #include "simt/sanitizer.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -66,8 +67,13 @@ TEST(SimtcheckSeededTest, DroppedAtomicAddIsACrossBlockRace) {
   const Violation& v = sanitizer->violations().front();
   EXPECT_EQ(v.kind, ViolationKind::kCrossBlockRace);
   EXPECT_EQ(v.kernel, "seeded_missing_atomic");
-  EXPECT_EQ(v.block, 1);        // the second block trips over the first
-  EXPECT_EQ(v.other_block, 0);
+  // The second block visited trips over the first; checked mode visits
+  // blocks in a seeded permutation, so which two is not fixed.
+  EXPECT_NE(v.block, v.other_block);
+  EXPECT_GE(v.block, 0);
+  EXPECT_LT(v.block, 4);
+  EXPECT_GE(v.other_block, 0);
+  EXPECT_LT(v.other_block, 4);
   EXPECT_EQ(v.tid, 0);
   EXPECT_FALSE(v.shared);
   EXPECT_NE(v.message.find("cross_block_race"), std::string::npos);
@@ -257,6 +263,33 @@ TEST(SimtcheckModeTest, EnvVariableTurnsCheckedModeOn) {
   ::unsetenv("PROCLUS_SIMTCHECK");
 }
 
+// --- block order -------------------------------------------------------------
+
+std::vector<int64_t> CheckedVisitOrder(int launches) {
+  Device device(DeviceProperties::Gtx1660Ti(), Checked());
+  std::vector<int64_t> order;
+  for (int l = 0; l < launches; ++l) {
+    order.clear();
+    device.Launch("visit", {64, 1}, {},
+                  [&](BlockContext& b) { order.push_back(b.block_idx()); });
+  }
+  return order;
+}
+
+TEST(SimtcheckBlockOrderTest, CheckedModeVisitsBlocksInASeededPermutation) {
+  const std::vector<int64_t> first = CheckedVisitOrder(1);
+  std::vector<int64_t> sorted = first;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<int64_t> identity(64);
+  for (int64_t b = 0; b < 64; ++b) identity[b] = b;
+  EXPECT_EQ(sorted, identity);  // every block exactly once
+  EXPECT_NE(first, identity);   // ... but not in index order
+  // Seeded from the launch sequence number: reproducible on a fresh
+  // device, different for the next launch.
+  EXPECT_EQ(CheckedVisitOrder(1), first);
+  EXPECT_NE(CheckedVisitOrder(2), first);
+}
+
 // --- production kernels under the checker ------------------------------------
 
 TEST(SimtcheckCleanRunTest, EveryStrategyRunsCleanUnderTheChecker) {
@@ -279,22 +312,32 @@ TEST(SimtcheckCleanRunTest, EveryStrategyRunsCleanUnderTheChecker) {
 }
 
 TEST(SimtcheckCleanRunTest, CheckedAndUncheckedRunsAreBitIdentical) {
+  // Checked mode runs the blocks of every launch in a shuffled order, so
+  // this also fails if any kernel result depends on block order.
   const data::Dataset ds = TestData();
-  core::ClusterOptions plain;
-  plain.backend = core::ComputeBackend::kGpu;
-  plain.strategy = core::Strategy::kFast;
-  core::ProclusResult expected;
-  ASSERT_TRUE(core::Cluster(ds.points, TestParams(), plain, &expected).ok());
+  for (const core::Strategy strategy :
+       {core::Strategy::kBaseline, core::Strategy::kFast,
+        core::Strategy::kFastStar}) {
+    SCOPED_TRACE(core::StrategyName(strategy));
+    core::ClusterOptions plain;
+    plain.backend = core::ComputeBackend::kGpu;
+    plain.strategy = strategy;
+    core::ProclusResult expected;
+    ASSERT_TRUE(
+        core::Cluster(ds.points, TestParams(), plain, &expected).ok());
 
-  core::ClusterOptions checked = plain;
-  checked.gpu_sanitize = true;
-  core::ProclusResult actual;
-  ASSERT_TRUE(core::Cluster(ds.points, TestParams(), checked, &actual).ok());
+    core::ClusterOptions checked = plain;
+    checked.gpu_sanitize = true;
+    core::ProclusResult actual;
+    ASSERT_TRUE(
+        core::Cluster(ds.points, TestParams(), checked, &actual).ok());
 
-  EXPECT_EQ(expected.medoids, actual.medoids);
-  EXPECT_EQ(expected.dimensions, actual.dimensions);
-  EXPECT_EQ(expected.assignment, actual.assignment);
-  EXPECT_EQ(expected.refined_cost, actual.refined_cost);
+    EXPECT_EQ(expected.medoids, actual.medoids);
+    EXPECT_EQ(expected.dimensions, actual.dimensions);
+    EXPECT_EQ(expected.assignment, actual.assignment);
+    EXPECT_EQ(expected.iterative_cost, actual.iterative_cost);
+    EXPECT_EQ(expected.refined_cost, actual.refined_cost);
+  }
 }
 
 TEST(SimtcheckCleanRunTest, MultiParamSweepRunsCleanUnderTheChecker) {

@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: the tier-1 gate (build + full ctest), a checked-execution
+# CI entry point: the tier-1 gate (build + full ctest), an order-sensitivity
+# pass that reruns the suites whose results depend on the simulated GPU
+# being deterministic across host threads five times, unpinned, so that
+# every host core runs thread blocks, a checked-execution
 # pass that reruns the simt + core GPU suites with PROCLUS_SIMTCHECK=1 (the
 # simulator's race & memory checker; see docs/simt.md), a clang-tidy lint
 # stage over src/ (skipped when clang-tidy is not installed), the
@@ -54,6 +57,12 @@ echo "== tier 1: build + full test suite =="
 cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 cmake --build build -j
 (cd build && ctest --output-on-failure -j"$(nproc)")
+
+echo "== order sensitivity: GPU / sweep / cache / serving suites, 5 repeats =="
+# A result that depends on thread-block order (or a race around it) fails
+# only sometimes on a multi-core host; repeating makes it show.
+(cd build && ctest --output-on-failure -j"$(nproc)" --repeat until-fail:5 \
+    -R '^(equivalence_test|gpu_backend_test|sweep_scheduler_test|result_cache_test|result_cache_stress_test|service_stress_test|net_chaos_test|net_upload_test)$')
 
 echo "== checked execution: simt + core GPU suites under PROCLUS_SIMTCHECK=1 =="
 # Every internally constructed simt::Device runs in simtcheck mode, so the
