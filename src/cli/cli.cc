@@ -218,26 +218,12 @@ Status ParseArgs(const std::vector<std::string>& args, CliConfig* config) {
       config->params.seed = static_cast<uint64_t>(int_value);
     } else if (arg == "--backend") {
       PROCLUS_RETURN_NOT_OK(next_value(&i, arg, &value));
-      if (value == "cpu") {
-        config->options.backend = core::ComputeBackend::kCpu;
-      } else if (value == "mc") {
-        config->options.backend = core::ComputeBackend::kMultiCore;
-      } else if (value == "gpu") {
-        config->options.backend = core::ComputeBackend::kGpu;
-      } else {
-        return Status::InvalidArgument("unknown backend: " + value);
-      }
+      PROCLUS_RETURN_NOT_OK(
+          core::BackendFromToken(value, &config->options.backend));
     } else if (arg == "--strategy") {
       PROCLUS_RETURN_NOT_OK(next_value(&i, arg, &value));
-      if (value == "baseline") {
-        config->options.strategy = core::Strategy::kBaseline;
-      } else if (value == "fast") {
-        config->options.strategy = core::Strategy::kFast;
-      } else if (value == "faststar") {
-        config->options.strategy = core::Strategy::kFastStar;
-      } else {
-        return Status::InvalidArgument("unknown strategy: " + value);
-      }
+      PROCLUS_RETURN_NOT_OK(
+          core::StrategyFromToken(value, &config->options.strategy));
     } else if (arg == "--threads") {
       PROCLUS_RETURN_NOT_OK(next_value(&i, arg, &value));
       PROCLUS_RETURN_NOT_OK(ParseInt(value, arg, &int_value));

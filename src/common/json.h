@@ -4,8 +4,8 @@
 // Small shared JSON implementation: a strict recursive-descent parser and a
 // compact writer over one value type. This is the single JSON code path in
 // the repo — the net/ wire codec encodes and decodes with it, the obs
-// metrics snapshot renders through it, and the tests validate emitted JSON
-// with it (tests/testing/minijson.h is a thin alias shim). It is not a
+// metrics snapshot renders through it, core/serialization.h encodes results
+// with it, and the tests validate emitted JSON with it. It is not a
 // general-purpose library: no streaming, no comments, ASCII-only \u
 // handling.
 //

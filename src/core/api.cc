@@ -23,6 +23,40 @@ const char* BackendName(ComputeBackend backend) {
   return "?";
 }
 
+const char* BackendToken(ComputeBackend backend) {
+  switch (backend) {
+    case ComputeBackend::kCpu: return "cpu";
+    case ComputeBackend::kMultiCore: return "mc";
+    case ComputeBackend::kGpu: return "gpu";
+  }
+  return "cpu";
+}
+
+Status BackendFromToken(const std::string& token, ComputeBackend* out) {
+  if (token == "cpu") *out = ComputeBackend::kCpu;
+  else if (token == "mc") *out = ComputeBackend::kMultiCore;
+  else if (token == "gpu") *out = ComputeBackend::kGpu;
+  else return Status::InvalidArgument("unknown backend: " + token);
+  return Status::OK();
+}
+
+const char* StrategyToken(Strategy strategy) {
+  switch (strategy) {
+    case Strategy::kBaseline: return "baseline";
+    case Strategy::kFast: return "fast";
+    case Strategy::kFastStar: return "faststar";
+  }
+  return "baseline";
+}
+
+Status StrategyFromToken(const std::string& token, Strategy* out) {
+  if (token == "baseline") *out = Strategy::kBaseline;
+  else if (token == "fast") *out = Strategy::kFast;
+  else if (token == "faststar") *out = Strategy::kFastStar;
+  else return Status::InvalidArgument("unknown strategy: " + token);
+  return Status::OK();
+}
+
 std::string VariantName(ComputeBackend backend, Strategy strategy) {
   std::string name;
   if (backend != ComputeBackend::kCpu) {

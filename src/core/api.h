@@ -21,6 +21,14 @@ enum class ComputeBackend { kCpu, kMultiCore, kGpu };
 
 const char* BackendName(ComputeBackend backend);
 
+// The lowercase tokens the CLI flags and the wire protocol use: "cpu",
+// "mc", "gpu" and "baseline", "fast", "faststar". The parsers return
+// kInvalidArgument ("unknown backend: <token>") for anything else.
+const char* BackendToken(ComputeBackend backend);
+Status BackendFromToken(const std::string& token, ComputeBackend* out);
+const char* StrategyToken(Strategy strategy);
+Status StrategyFromToken(const std::string& token, Strategy* out);
+
 // Full variant name in the paper's nomenclature, e.g. "GPU-FAST-PROCLUS".
 std::string VariantName(ComputeBackend backend, Strategy strategy);
 

@@ -115,13 +115,4 @@ void AppendCanonicalSweep(const SweepSpec& sweep, std::string* out) {
   }
 }
 
-uint64_t CanonicalHash(const std::string& text) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace proclus::core

@@ -27,8 +27,7 @@ namespace proclus::core {
 //     environment, not request content, and are excluded. A caller-provided
 //     device must produce the identical result a fresh device would
 //     (core/api.h contract), so excluding them is sound.
-//   - The text is one line (no '\n'), so it can serve as a header line in
-//     the cache's persistent .pcr spill format.
+//   - The text is one line (no '\n').
 //   - Doubles are printed with %.17g: round-trip exact, so distinct bit
 //     patterns canonicalize distinctly.
 //
@@ -57,10 +56,6 @@ void AppendCanonicalOptions(const ClusterOptions& options, std::string* out);
 // the settings list in order (order is part of the request: results come
 // back in input order).
 void AppendCanonicalSweep(const SweepSpec& sweep, std::string* out);
-
-// FNV-1a 64-bit over `text` — the same hash family DatasetStore uses for
-// dataset content addressing, here applied to canonical request text.
-uint64_t CanonicalHash(const std::string& text);
 
 }  // namespace proclus::core
 

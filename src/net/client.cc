@@ -5,8 +5,8 @@
 #include <thread>
 #include <utility>
 
+#include "common/hash.h"
 #include "net/frame.h"
-#include "store/pds_format.h"
 
 namespace proclus::net {
 
@@ -199,7 +199,7 @@ Status ProclusClient::UploadDataset(const std::string& id,
   commit.type = RequestType::kUploadCommit;
   commit.upload_session = session;
   commit.upload_crc32 =
-      store::Crc32(points.data(), static_cast<size_t>(total_bytes));
+      Crc32(points.data(), static_cast<size_t>(total_bytes));
   PROCLUS_RETURN_NOT_OK(CallChecked(commit, &response));
   if (hash != nullptr) *hash = response.dataset_hash;
   if (deduped != nullptr) *deduped = response.deduped;

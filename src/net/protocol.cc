@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "core/serialization.h"
 #include "net/frame.h"
 
 namespace proclus::net {
@@ -29,41 +30,6 @@ constexpr CodeName kCodeNames[] = {
     {StatusCode::kCancelled, "CANCELLED"},
     {StatusCode::kDeadlineExceeded, "DEADLINE_EXCEEDED"},
 };
-
-const char* BackendToken(core::ComputeBackend backend) {
-  switch (backend) {
-    case core::ComputeBackend::kCpu: return "cpu";
-    case core::ComputeBackend::kMultiCore: return "mc";
-    case core::ComputeBackend::kGpu: return "gpu";
-  }
-  return "cpu";
-}
-
-Status BackendFromToken(const std::string& token,
-                        core::ComputeBackend* out) {
-  if (token == "cpu") *out = core::ComputeBackend::kCpu;
-  else if (token == "mc") *out = core::ComputeBackend::kMultiCore;
-  else if (token == "gpu") *out = core::ComputeBackend::kGpu;
-  else return Status::InvalidArgument("unknown backend: " + token);
-  return Status::OK();
-}
-
-const char* StrategyToken(core::Strategy strategy) {
-  switch (strategy) {
-    case core::Strategy::kBaseline: return "baseline";
-    case core::Strategy::kFast: return "fast";
-    case core::Strategy::kFastStar: return "faststar";
-  }
-  return "baseline";
-}
-
-Status StrategyFromToken(const std::string& token, core::Strategy* out) {
-  if (token == "baseline") *out = core::Strategy::kBaseline;
-  else if (token == "fast") *out = core::Strategy::kFast;
-  else if (token == "faststar") *out = core::Strategy::kFastStar;
-  else return Status::InvalidArgument("unknown strategy: " + token);
-  return Status::OK();
-}
 
 const char* ReuseToken(core::ReuseLevel reuse) {
   switch (reuse) {
@@ -115,8 +81,8 @@ void DecodeParams(const JsonValue* v, core::ProclusParams* params) {
 
 JsonValue EncodeOptions(const core::ClusterOptions& options) {
   JsonValue v = JsonValue::Object();
-  v.Set("backend", JsonValue::Str(BackendToken(options.backend)));
-  v.Set("strategy", JsonValue::Str(StrategyToken(options.strategy)));
+  v.Set("backend", JsonValue::Str(core::BackendToken(options.backend)));
+  v.Set("strategy", JsonValue::Str(core::StrategyToken(options.strategy)));
   if (options.num_threads != 0) {
     v.Set("num_threads", JsonValue::Int(options.num_threads));
   }
@@ -139,11 +105,12 @@ Status DecodeOptions(const JsonValue* v, core::ClusterOptions* options) {
   *options = core::ClusterOptions::Gpu();
   if (v == nullptr || !v->is_object()) return Status::OK();
   if (const JsonValue* f = v->Find("backend")) {
-    PROCLUS_RETURN_NOT_OK(BackendFromToken(f->AsString(), &options->backend));
+    PROCLUS_RETURN_NOT_OK(
+        core::BackendFromToken(f->AsString(), &options->backend));
   }
   if (const JsonValue* f = v->Find("strategy")) {
     PROCLUS_RETURN_NOT_OK(
-        StrategyFromToken(f->AsString(), &options->strategy));
+        core::StrategyFromToken(f->AsString(), &options->strategy));
   }
   if (const JsonValue* f = v->Find("num_threads")) {
     options->num_threads = static_cast<int>(f->AsInt());
@@ -163,70 +130,9 @@ Status DecodeOptions(const JsonValue* v, core::ClusterOptions* options) {
   return Status::OK();
 }
 
-JsonValue EncodeIntArray(const std::vector<int>& values) {
-  JsonValue v = JsonValue::Array();
-  for (const int value : values) v.Append(JsonValue::Int(value));
-  return v;
-}
-
-std::vector<int> DecodeIntArray(const JsonValue* v) {
-  std::vector<int> out;
-  if (v == nullptr || !v->is_array()) return out;
-  out.reserve(v->array_value.size());
-  for (const JsonValue& element : v->array_value) {
-    out.push_back(static_cast<int>(element.AsInt()));
-  }
-  return out;
-}
-
-JsonValue EncodeProclusResult(const core::ProclusResult& result) {
-  JsonValue v = JsonValue::Object();
-  v.Set("medoids", EncodeIntArray(result.medoids));
-  JsonValue dims = JsonValue::Array();
-  for (const std::vector<int>& cluster_dims : result.dimensions) {
-    dims.Append(EncodeIntArray(cluster_dims));
-  }
-  v.Set("dimensions", std::move(dims));
-  v.Set("assignment", EncodeIntArray(result.assignment));
-  v.Set("iterative_cost", JsonValue::Double(result.iterative_cost));
-  v.Set("refined_cost", JsonValue::Double(result.refined_cost));
-  return v;
-}
-
-core::ProclusResult DecodeProclusResult(const JsonValue& v) {
-  core::ProclusResult result;
-  result.medoids = DecodeIntArray(v.Find("medoids"));
-  if (const JsonValue* dims = v.Find("dimensions");
-      dims != nullptr && dims->is_array()) {
-    result.dimensions.reserve(dims->array_value.size());
-    for (const JsonValue& cluster_dims : dims->array_value) {
-      result.dimensions.push_back(DecodeIntArray(&cluster_dims));
-    }
-  }
-  result.assignment = DecodeIntArray(v.Find("assignment"));
-  if (const JsonValue* f = v.Find("iterative_cost")) {
-    result.iterative_cost = f->AsDouble();
-  }
-  if (const JsonValue* f = v.Find("refined_cost")) {
-    result.refined_cost = f->AsDouble();
-  }
-  return result;
-}
-
 JsonValue EncodeWireJobResult(const WireJobResult& result) {
   JsonValue v = JsonValue::Object();
-  JsonValue results = JsonValue::Array();
-  for (const core::ProclusResult& r : result.results) {
-    results.Append(EncodeProclusResult(r));
-  }
-  v.Set("results", std::move(results));
-  if (!result.setting_seconds.empty()) {
-    JsonValue seconds = JsonValue::Array();
-    for (const double s : result.setting_seconds) {
-      seconds.Append(JsonValue::Double(s));
-    }
-    v.Set("setting_seconds", std::move(seconds));
-  }
+  core::EncodeResultList(result.results, result.setting_seconds, &v);
   v.Set("queue_seconds", JsonValue::Double(result.queue_seconds));
   v.Set("exec_seconds", JsonValue::Double(result.exec_seconds));
   if (result.modeled_gpu_seconds > 0.0) {
@@ -258,21 +164,10 @@ JsonValue EncodeWireJobResult(const WireJobResult& result) {
   return v;
 }
 
-WireJobResult DecodeWireJobResult(const JsonValue& v) {
-  WireJobResult result;
-  if (const JsonValue* results = v.Find("results");
-      results != nullptr && results->is_array()) {
-    result.results.reserve(results->array_value.size());
-    for (const JsonValue& r : results->array_value) {
-      result.results.push_back(DecodeProclusResult(r));
-    }
-  }
-  if (const JsonValue* seconds = v.Find("setting_seconds");
-      seconds != nullptr && seconds->is_array()) {
-    for (const JsonValue& s : seconds->array_value) {
-      result.setting_seconds.push_back(s.AsDouble());
-    }
-  }
+Status DecodeWireJobResult(const JsonValue& v, WireJobResult* out) {
+  WireJobResult& result = *out;
+  PROCLUS_RETURN_NOT_OK(core::DecodeResultList(v, &result.results,
+                                               &result.setting_seconds));
   if (const JsonValue* f = v.Find("queue_seconds")) result.queue_seconds = f->AsDouble();
   if (const JsonValue* f = v.Find("exec_seconds")) result.exec_seconds = f->AsDouble();
   if (const JsonValue* f = v.Find("modeled_gpu_seconds")) result.modeled_gpu_seconds = f->AsDouble();
@@ -294,7 +189,7 @@ WireJobResult DecodeWireJobResult(const JsonValue& v) {
   if (const JsonValue* f = v.Find("cache_key")) {
     result.cache_key = f->AsString();
   }
-  return result;
+  return Status::OK();
 }
 
 }  // namespace
@@ -904,7 +799,7 @@ Status DecodeResponse(const std::string& payload, Response* out) {
   if (const JsonValue* f = v.Find("phase")) out->phase = f->AsString();
   if (const JsonValue* f = v.Find("result"); f != nullptr && f->is_object()) {
     out->has_result = true;
-    out->result = DecodeWireJobResult(*f);
+    PROCLUS_RETURN_NOT_OK(DecodeWireJobResult(*f, &out->result));
   }
   if (const JsonValue* f = v.Find("metrics")) out->metrics = *f;
   if (const JsonValue* h = v.Find("health"); h != nullptr && h->is_object()) {

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <utility>
 
+#include "common/hash.h"
 #include "data/generator.h"
 #include "data/normalize.h"
 #include "net/frame.h"
@@ -48,13 +48,6 @@ void FillResult(const service::JobResult& job_result, Response* response) {
 bool IsTerminal(service::JobPhase phase) {
   return phase != service::JobPhase::kQueued &&
          phase != service::JobPhase::kRunning;
-}
-
-std::string HashHex(uint64_t hash) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buf;
 }
 
 }  // namespace
@@ -391,7 +384,7 @@ Response ProclusServer::HandleUploadCommit(Connection* connection,
   Response response;
   response.request = request.type;
   response.ok = true;
-  response.dataset_hash = HashHex(hash);
+  response.dataset_hash = Hex64(hash);
   response.deduped = deduped;
   return response;
 }
@@ -405,7 +398,7 @@ Response ProclusServer::HandleListDatasets() {
        service_->dataset_store()->List()) {
     WireDatasetInfo wire;
     wire.id = info.id;
-    wire.hash = HashHex(info.hash);
+    wire.hash = Hex64(info.hash);
     wire.rows = info.rows;
     wire.cols = info.cols;
     wire.bytes = info.bytes;

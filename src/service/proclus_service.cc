@@ -300,8 +300,7 @@ ProclusService::ProclusService(ServiceOptions options)
           options_.prewarm_devices,
           simt::DeviceOptions{0, options_.sanitize_devices})),
       store_(std::make_unique<store::DatasetStore>(store::StoreOptions{
-          options_.store_dir, options_.store_budget_bytes,
-          /*mmap_loads=*/true, options_.trace})),
+          options_.store_dir, options_.store_budget_bytes, options_.trace})),
       cache_(options_.result_cache_bytes > 0
                  ? std::make_unique<ResultCache>(ResultCacheOptions{
                        options_.result_cache_bytes,

@@ -1,117 +1,39 @@
 #include "service/result_cache.h"
 
-#include <cerrno>
-#include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <sstream>
 #include <utility>
 
+#include "common/hash.h"
+#include "common/json.h"
 #include "common/macros.h"
 #include "core/canonical.h"
 #include "core/serialization.h"
-#include "store/pds_format.h"
+#include "store/checksummed_file.h"
 
 namespace proclus::service {
 namespace {
 
-void PutU32(unsigned char* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<unsigned char>(v >> (8 * i));
-  }
-}
+using json::JsonValue;
 
-void PutU64(unsigned char* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<unsigned char>(v >> (8 * i));
-  }
-}
-
-uint32_t GetU32(const unsigned char* in) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(in[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const unsigned char* in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(in[i]) << (8 * i);
-  }
-  return v;
-}
-
-std::string HexOf(uint64_t hash) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, hash);
-  return std::string(buf, 16);
-}
-
-// Text payload of a .pcr file (see result_cache.h for the format).
-std::string EncodePayload(const ResultCacheKey& key,
-                          const CachedResult& payload) {
-  std::ostringstream out;
-  out << "proclus-cached-result v1\n";
-  out << "key " << key.text << "\n";
-  out << "results " << payload.results.size() << "\n";
-  for (const core::ProclusResult& r : payload.results) {
-    // WriteResult cannot fail on an ostringstream.
-    IgnoreError(core::WriteResult(r, out));
-  }
-  if (!payload.setting_seconds.empty()) {
-    out << "setting_seconds";
-    char buf[40];
-    for (const double s : payload.setting_seconds) {
-      std::snprintf(buf, sizeof(buf), "%.17g", s);
-      out << ' ' << buf;
-    }
-    out << "\n";
-  }
-  return out.str();
-}
-
-Status DecodePayload(const std::string& text, const ResultCacheKey& key,
-                     const std::string& path, CachedResult* payload) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "proclus-cached-result v1") {
-    return Status::IoError("corrupt .pcr payload (bad header): " + path);
-  }
-  if (!std::getline(in, line) || line.rfind("key ", 0) != 0) {
-    return Status::IoError("corrupt .pcr payload (missing key): " + path);
-  }
-  if (line.substr(4) != key.text) {
-    // A hash collision or a file renamed across keys: never serve it.
-    return Status::IoError("cached result key mismatch: " + path);
-  }
-  size_t count = 0;
-  if (!std::getline(in, line) || line.rfind("results ", 0) != 0) {
-    return Status::IoError("corrupt .pcr payload (missing count): " + path);
-  }
-  {
-    std::istringstream counts(line.substr(8));
-    if (!(counts >> count) || count == 0) {
-      return Status::IoError("corrupt .pcr payload (bad count): " + path);
-    }
-  }
-  payload->results.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    PROCLUS_RETURN_NOT_OK(core::ReadResult(in, &payload->results[i]));
-  }
-  payload->setting_seconds.clear();
-  if (std::getline(in, line) && line.rfind("setting_seconds", 0) == 0) {
-    std::istringstream seconds(line.substr(15));
-    double s = 0.0;
-    while (seconds >> s) payload->setting_seconds.push_back(s);
+// Words: key hash, payload bytes. The size word must equal what the file
+// really holds.
+Status CheckPayloadSize(uint64_t /*key_hash*/, uint64_t claimed,
+                        size_t payload_bytes, const std::string& path) {
+  if (claimed != payload_bytes) {
+    return Status::IoError("corrupt .pcr header (payload size mismatch: "
+                           "header claims " + std::to_string(claimed) +
+                           " bytes, file holds " +
+                           std::to_string(payload_bytes) + "): " + path);
   }
   return Status::OK();
 }
 
+constexpr store::ChecksummedFormat kPcr = {"PCR1", kPcrVersion, kPcrExtension,
+                                           &CheckPayloadSize};
+
 }  // namespace
 
-std::string ResultCacheKey::Hex() const { return HexOf(hash); }
+std::string ResultCacheKey::Hex() const { return Hex64(hash); }
 
 int64_t CachedResult::EstimateBytes() const {
   int64_t bytes = 64;
@@ -129,81 +51,40 @@ int64_t CachedResult::EstimateBytes() const {
 
 Status WritePcr(const ResultCacheKey& key, const CachedResult& payload,
                 const std::string& path) {
-  const std::string body = EncodePayload(key, payload);
-  unsigned char header[kPcrHeaderBytes] = {};
-  std::memcpy(header, kPcrMagic, sizeof(kPcrMagic));
-  PutU32(header + 4, kPcrVersion);
-  PutU64(header + 8, key.hash);
-  PutU64(header + 16, static_cast<uint64_t>(body.size()));
-  PutU32(header + 24, store::Crc32(body.data(), body.size()));
-  // header[28..31] stay zero (reserved).
-
-  // Sibling-then-rename, the .pds pattern: the final name is never a
-  // half-written file.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot create " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  bool ok = std::fwrite(header, 1, kPcrHeaderBytes, f) == kPcrHeaderBytes;
-  if (ok && !body.empty()) {
-    ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  }
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::IoError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    int err = errno;
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " to " + path + ": " +
-                           std::strerror(err));
-  }
-  return Status::OK();
+  JsonValue v = JsonValue::Object();
+  v.Set("key", JsonValue::Str(key.text));
+  core::EncodeResultList(payload.results, payload.setting_seconds, &v);
+  const std::string body = json::Dump(v);
+  return store::WriteChecksummedFile(kPcr, key.hash, body.size(), body.data(),
+                                     body.size(), path);
 }
 
 Status ReadPcr(const std::string& path, const ResultCacheKey& key,
                CachedResult* payload) {
   PROCLUS_CHECK(payload != nullptr);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
+  store::ChecksummedFile file;
+  PROCLUS_RETURN_NOT_OK(store::ReadChecksummedFile(kPcr, path, &file));
+  if (file.word0 != key.hash) {
+    return Status::IoError("cached result hash mismatch: " + path);
   }
-  unsigned char header[kPcrHeaderBytes] = {};
-  std::string body;
-  Status st = Status::OK();
-  if (std::fread(header, 1, kPcrHeaderBytes, f) != kPcrHeaderBytes) {
-    st = Status::IoError("truncated .pcr file: " + path);
-  } else if (std::memcmp(header, kPcrMagic, sizeof(kPcrMagic)) != 0) {
-    st = Status::IoError("not a .pcr file (bad magic): " + path);
-  } else if (GetU32(header + 4) != kPcrVersion) {
-    st = Status::IoError("unsupported .pcr version " +
-                         std::to_string(GetU32(header + 4)) + ": " + path);
-  } else if (GetU64(header + 8) != key.hash) {
-    st = Status::IoError("cached result hash mismatch: " + path);
-  } else if (GetU32(header + 28) != 0) {
-    st = Status::IoError("corrupt .pcr header (reserved bytes set): " + path);
-  } else {
-    const uint64_t payload_bytes = GetU64(header + 16);
-    if (payload_bytes > (1ull << 32)) {
-      st = Status::IoError("corrupt .pcr header (implausible size): " + path);
-    } else {
-      body.resize(payload_bytes);
-      if (payload_bytes > 0 &&
-          std::fread(body.data(), 1, body.size(), f) != body.size()) {
-        st = Status::IoError("truncated .pcr payload: " + path);
-      } else if (store::Crc32(body.data(), body.size()) !=
-                 GetU32(header + 24)) {
-        st = Status::IoError(".pcr payload checksum mismatch: " + path);
-      }
-    }
+  JsonValue v;
+  std::string error;
+  if (!json::Parse(std::string(reinterpret_cast<const char*>(file.payload),
+                               file.payload_bytes),
+                   &v, &error)) {
+    return Status::IoError("corrupt .pcr payload (" + error + "): " + path);
   }
-  std::fclose(f);
-  PROCLUS_RETURN_NOT_OK(st);
-  return DecodePayload(body, key, path, payload);
+  const JsonValue* stored_key = v.Find("key");
+  if (stored_key == nullptr || stored_key->AsString() != key.text) {
+    // A hash collision or a file renamed across keys: never serve it.
+    return Status::IoError("cached result key mismatch: " + path);
+  }
+  PROCLUS_RETURN_NOT_OK(core::DecodeResultList(v, &payload->results,
+                                               &payload->setting_seconds));
+  if (payload->results.empty()) {
+    return Status::IoError("corrupt .pcr payload (no results): " + path);
+  }
+  return Status::OK();
 }
 
 ResultCache::ResultCache(ResultCacheOptions options)
@@ -214,7 +95,7 @@ ResultCacheKey ResultCache::MakeKey(uint64_t dataset_hash, JobKind kind,
                                     const core::ClusterOptions& options,
                                     const core::SweepSpec& sweep) {
   ResultCacheKey key;
-  key.text = "proclus-job v1 dataset=" + HexOf(dataset_hash);
+  key.text = "proclus-job v1 dataset=" + Hex64(dataset_hash);
   key.text += kind == JobKind::kSweep ? " kind=sweep " : " kind=single ";
   core::AppendCanonicalParams(params, &key.text);
   key.text.push_back(' ');
@@ -223,12 +104,12 @@ ResultCacheKey ResultCache::MakeKey(uint64_t dataset_hash, JobKind kind,
     key.text.push_back(' ');
     core::AppendCanonicalSweep(sweep, &key.text);
   }
-  key.hash = core::CanonicalHash(key.text);
+  key.hash = Fnv1a64(key.text);
   return key;
 }
 
 std::string ResultCache::PathForHash(uint64_t hash) const {
-  return options_.dir + "/" + HexOf(hash) + kPcrExtension;
+  return store::ContentAddressedPath(options_.dir, hash, kPcrExtension);
 }
 
 ResultCache::Admission ResultCache::AdmitOrJoin(
@@ -307,7 +188,7 @@ Status ResultCache::EvictByHex(const std::string& hex, bool* evicted) {
   }
   MutexLock lock(&mutex_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (core::CanonicalHash(it->first) != hash) continue;
+    if (Fnv1a64(it->first) != hash) continue;
     resident_bytes_ -= it->second.bytes;
     counters_.evictions++;
     entries_.erase(it);
@@ -390,7 +271,7 @@ void ResultCache::SpillLocked(const std::string& text, Entry* entry) {
   if (entry->on_disk) return;
   ResultCacheKey key;
   key.text = text;
-  key.hash = core::CanonicalHash(text);
+  key.hash = Fnv1a64(text);
   obs::TraceSpan span(options_.trace, "cache.spill", "cache");
   span.AddArg(obs::TraceArg::Str("key", key.Hex()));
   const Status st = WritePcr(key, *entry->payload, PathForHash(key.hash));

@@ -17,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/job.h"
+#include "store/checksummed_file.h"
 
 namespace proclus::service {
 
@@ -41,8 +42,8 @@ struct ResultCacheOptions {
 // of every request field that could shape the result (core/canonical.h).
 // `text` is the full canonical line and is the cache's identity — exact
 // string match, so hash collisions can never alias two requests. `hash` is
-// FNV-1a of `text`; it names the spill file and is what crosses the wire as
-// the `cache_key` hex string.
+// Fnv1a64 of `text` (common/hash.h); it names the spill file and is what
+// crosses the wire as the `cache_key` hex string.
 struct ResultCacheKey {
   uint64_t hash = 0;
   std::string text;
@@ -207,31 +208,22 @@ class ResultCache {
 };
 
 // Serialization of one CachedResult as a `.pcr` ("proclus cached result")
-// file, version 1: a fixed 32-byte little-endian header followed by a
-// line-oriented text payload.
+// file, version 2: a checksummed file (store/checksummed_file.h) with magic
+// "PCR1" whose header words are the cache-key hash and the payload size in
+// bytes, and whose payload is one JSON object:
 //
-//   offset  size  field
-//   0       4     magic "PCR1"
-//   4       4     uint32 format version (currently 1)
-//   8       8     uint64 cache-key hash (must match the requested key)
-//   16      8     int64  payload bytes
-//   24      4     uint32 CRC32 (IEEE) of the payload bytes
-//   28      4     reserved, must be zero
+//   {"key":"<canonical key text>", <core::EncodeResultList members>}
 //
-// Payload:
-//   proclus-cached-result v1
-//   key <canonical key text>
-//   results <count>
-//   <core::WriteResult block> x count      (core/serialization.h)
-//   setting_seconds <s0> ... <s{count-1}>  (%.17g; absent when empty)
+// — "results" and, for kSweep, "setting_seconds", encoded exactly as on
+// the wire (core/serialization.h).
 //
-// Readers verify magic/version/size/CRC and that the embedded key text
-// equals the key being looked up, so a hash collision or a renamed file can
-// never serve a wrong clustering. Writes go to `path + ".tmp"` first and
-// rename into place (the `.pds` pattern — store/pds_format.h).
-inline constexpr char kPcrMagic[4] = {'P', 'C', 'R', '1'};
-inline constexpr uint32_t kPcrVersion = 1;
-inline constexpr size_t kPcrHeaderBytes = 32;
+// Readers verify magic/version/size/CRC and that both the header hash and
+// the embedded key text equal the key being looked up, so a hash collision
+// or a renamed file can never serve a wrong clustering. A version-1 file
+// (text payload) fails the version check and is treated as corrupt: a miss
+// that removes the file. Writes are atomic (sibling `.tmp` plus rename).
+inline constexpr uint32_t kPcrVersion = 2;
+inline constexpr size_t kPcrHeaderBytes = store::kChecksummedHeaderBytes;
 inline constexpr const char* kPcrExtension = ".pcr";
 
 // Exposed for tests: file-level write/read of the spill format.

@@ -6,7 +6,9 @@
 #include <filesystem>
 #include <system_error>
 
+#include "common/hash.h"
 #include "common/macros.h"
+#include "store/checksummed_file.h"
 #include "store/pds_format.h"
 
 namespace proclus::store {
@@ -18,7 +20,6 @@ struct DatasetStore::Entry {
   int64_t rows = 0;
   int64_t cols = 0;
   int64_t bytes = 0;  // payload bytes
-  uint32_t crc32 = 0;
   // Resident payload; null when evicted. Pins take shared_ptr copies, so
   // dropping this does not free memory out from under an active pin.
   std::shared_ptr<const data::Matrix> resident;
@@ -68,25 +69,9 @@ DatasetStore::~DatasetStore() = default;
 uint64_t DatasetStore::ContentHash(const data::Matrix& points) {
   // FNV-1a, 64-bit, over the shape then the raw payload bytes. The shape is
   // included so a 2x6 and a 3x4 matrix with equal payloads hash apart.
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](const void* data, size_t len) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < len; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ull;
-    }
-  };
-  int64_t shape[2] = {points.rows(), points.cols()};
-  mix(shape, sizeof(shape));
-  mix(points.data(), static_cast<size_t>(points.size()) * 4);
-  return h;
-}
-
-std::string DatasetStore::PathForHash(uint64_t hash) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return options_.dir + "/" + name + kPdsExtension;
+  const int64_t shape[2] = {points.rows(), points.cols()};
+  return Fnv1a64(points.data(), static_cast<size_t>(points.size()) * 4,
+                 Fnv1a64(shape, sizeof(shape)));
 }
 
 Status DatasetStore::Put(const std::string& id, data::Matrix points,
@@ -125,11 +110,12 @@ Status DatasetStore::PutLocked(const std::string& id, data::Matrix points,
   entry->rows = points.rows();
   entry->cols = points.cols();
   entry->bytes = points.size() * 4;
-  entry->crc32 =
-      Crc32(points.data(), static_cast<size_t>(points.size()) * 4);
   entry->resident = std::make_shared<const data::Matrix>(std::move(points));
   entry->on_disk = content_on_disk;
-  entry->path = options_.dir.empty() ? "" : PathForHash(content_hash);
+  entry->path = options_.dir.empty()
+                    ? ""
+                    : ContentAddressedPath(options_.dir, content_hash,
+                                           kPdsExtension);
   entry->last_use = ++use_clock_;
 
   auto it = entries_.find(id);
@@ -219,9 +205,7 @@ Status DatasetStore::EnsureResidentLocked(Entry* entry) {
   span.AddArg(obs::TraceArg::Str("id", entry->id));
   span.AddArg(obs::TraceArg::Int("bytes", entry->bytes));
   data::Matrix m;
-  Status st = options_.mmap_loads ? MapPds(entry->path, &m)
-                                  : ReadPds(entry->path, &m);
-  PROCLUS_RETURN_NOT_OK(st);
+  PROCLUS_RETURN_NOT_OK(MapPds(entry->path, &m));
   if (m.rows() != entry->rows || m.cols() != entry->cols) {
     return Status::IoError("spilled dataset shape changed on disk: " +
                            entry->path);

@@ -27,8 +27,6 @@ struct StoreOptions {
   // least-recently-used unpinned entries are spilled to `dir` and dropped
   // from memory until the total fits (or only pinned entries remain).
   int64_t resident_budget_bytes = 0;
-  // Reload spilled datasets with mmap (zero-copy) rather than a full read.
-  bool mmap_loads = true;
   // Optional recorder for "store" category spans (load/spill/verify).
   obs::TraceRecorder* trace = nullptr;
 };
@@ -130,7 +128,7 @@ class UploadSession {
 // Residency: payloads live in memory until the resident-bytes budget is
 // exceeded, at which point least-recently-used unpinned entries are spilled
 // to disk (if not already there) and dropped. Acquire() transparently
-// reloads a spilled entry — via mmap by default, so a reload is zero-copy —
+// reloads a spilled entry — via mmap, so a reload is zero-copy —
 // and returns a pin that guarantees the payload stays valid and resident
 // until released. Pinned entries are never evicted; if only pinned entries
 // remain, the store is allowed to exceed its budget rather than fail jobs.
@@ -214,7 +212,6 @@ class DatasetStore {
   struct Entry;
   friend class PinnedDataset;
 
-  std::string PathForHash(uint64_t hash) const;
   // Registers `points` under `id`.
   Status PutLocked(const std::string& id, data::Matrix points,
                    uint64_t* hash, bool* deduped) REQUIRES(mutex_);

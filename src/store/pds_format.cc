@@ -1,15 +1,6 @@
 #include "store/pds_format.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <array>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -18,268 +9,54 @@
 namespace proclus::store {
 namespace {
 
-// Table-driven CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the
-// same checksum gzip and PNG use, computed byte-at-a-time.
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xEDB88320u : 0u);
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = BuildCrcTable();
-  return table;
-}
-
-void PutU32(unsigned char* out, uint32_t v) {
-  out[0] = static_cast<unsigned char>(v);
-  out[1] = static_cast<unsigned char>(v >> 8);
-  out[2] = static_cast<unsigned char>(v >> 16);
-  out[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void PutI64(unsigned char* out, int64_t v) {
-  auto u = static_cast<uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<unsigned char>(u >> (8 * i));
-  }
-}
-
-uint32_t GetU32(const unsigned char* in) {
-  return static_cast<uint32_t>(in[0]) | static_cast<uint32_t>(in[1]) << 8 |
-         static_cast<uint32_t>(in[2]) << 16 |
-         static_cast<uint32_t>(in[3]) << 24;
-}
-
-int64_t GetI64(const unsigned char* in) {
-  uint64_t u = 0;
-  for (int i = 0; i < 8; ++i) {
-    u |= static_cast<uint64_t>(in[i]) << (8 * i);
-  }
-  return static_cast<int64_t>(u);
-}
-
-// Validates the 32-byte header block. `file_bytes` < 0 skips the size check.
-Status ParseHeader(const unsigned char* header, int64_t file_bytes,
-                   const std::string& path, PdsInfo* info) {
-  if (std::memcmp(header, kPdsMagic, sizeof(kPdsMagic)) != 0) {
-    return Status::IoError("not a .pds file (bad magic): " + path);
-  }
-  uint32_t version = GetU32(header + 4);
-  if (version != kPdsVersion) {
-    return Status::IoError("unsupported .pds version " +
-                           std::to_string(version) + " (expected " +
-                           std::to_string(kPdsVersion) + "): " + path);
-  }
-  int64_t rows = GetI64(header + 8);
-  int64_t cols = GetI64(header + 16);
+// Words: rows, cols. The payload must hold exactly rows x cols floats.
+Status CheckShape(uint64_t word0, uint64_t word1, size_t payload_bytes,
+                  const std::string& path) {
+  const auto rows = static_cast<int64_t>(word0);
+  const auto cols = static_cast<int64_t>(word1);
   if (rows < 0 || cols < 0 ||
       (cols > 0 && rows > (INT64_MAX / 4) / cols)) {
     return Status::IoError("corrupt .pds header (bad shape " +
                            std::to_string(rows) + "x" + std::to_string(cols) +
                            "): " + path);
   }
-  if (GetU32(header + 28) != 0) {
-    return Status::IoError("corrupt .pds header (reserved bytes set): " +
-                           path);
-  }
-  int64_t payload_bytes = rows * cols * 4;
-  if (file_bytes >= 0 &&
-      file_bytes != static_cast<int64_t>(kPdsHeaderBytes) + payload_bytes) {
+  const int64_t expected = rows * cols * 4;
+  if (static_cast<int64_t>(payload_bytes) != expected) {
     return Status::IoError(
-        "truncated .pds file: " + path + " (" + std::to_string(file_bytes) +
-        " bytes, expected " +
-        std::to_string(kPdsHeaderBytes + payload_bytes) + ")");
-  }
-  info->rows = rows;
-  info->cols = cols;
-  info->crc32 = GetU32(header + 24);
-  info->payload_bytes = payload_bytes;
-  return Status::OK();
-}
-
-Status OpenAndStat(const std::string& path, int* fd_out, int64_t* size_out) {
-  int fd = ::open(path.c_str(), O_RDONLY);  // NOLINT(cppcoreguidelines-pro-type-vararg)
-  if (fd < 0) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    int err = errno;
-    ::close(fd);
-    return Status::IoError("cannot stat " + path + ": " + std::strerror(err));
-  }
-  *fd_out = fd;
-  *size_out = static_cast<int64_t>(st.st_size);
-  return Status::OK();
-}
-
-Status ReadHeaderFromFd(int fd, int64_t file_bytes, const std::string& path,
-                        PdsInfo* info) {
-  unsigned char header[kPdsHeaderBytes];
-  if (file_bytes < static_cast<int64_t>(kPdsHeaderBytes)) {
-    return Status::IoError("truncated .pds file (no header): " + path);
-  }
-  size_t got = 0;
-  while (got < kPdsHeaderBytes) {
-    ssize_t n = ::read(fd, header + got, kPdsHeaderBytes - got);
-    if (n <= 0) {
-      return Status::IoError("cannot read .pds header: " + path);
-    }
-    got += static_cast<size_t>(n);
-  }
-  return ParseHeader(header, file_bytes, path, info);
-}
-
-Status VerifyPayloadCrc(const void* payload, const PdsInfo& info,
-                        const std::string& path) {
-  uint32_t actual =
-      Crc32(payload, static_cast<size_t>(info.payload_bytes));
-  if (actual != info.crc32) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "checksum mismatch (stored %08x, computed %08x)",
-                  info.crc32, actual);
-    return Status::IoError("corrupt .pds payload in " + path + ": " + buf);
+        "truncated .pds file: " + path + " (" +
+        std::to_string(kPdsHeaderBytes + payload_bytes) +
+        " bytes, expected " + std::to_string(kPdsHeaderBytes + expected) +
+        ")");
   }
   return Status::OK();
 }
 
-// shared_ptr deleter-owner for an mmap'ed region.
-struct Mapping {
-  void* addr = nullptr;
-  size_t len = 0;
-  ~Mapping() {
-    if (addr != nullptr && addr != MAP_FAILED) ::munmap(addr, len);
-  }
-};
+constexpr ChecksummedFormat kPds = {"PDS1", 1, kPdsExtension, &CheckShape};
 
 }  // namespace
 
-uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
-  const auto& table = CrcTable();
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  uint32_t crc = ~seed;
-  for (size_t i = 0; i < len; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
-  }
-  return ~crc;
-}
-
-Status StatPds(const std::string& path, PdsInfo* info) {
-  PROCLUS_CHECK(info != nullptr);
-  int fd = -1;
-  int64_t file_bytes = 0;
-  PROCLUS_RETURN_NOT_OK(OpenAndStat(path, &fd, &file_bytes));
-  Status st = ReadHeaderFromFd(fd, file_bytes, path, info);
-  ::close(fd);
-  return st;
-}
-
 Status WritePds(const data::Matrix& points, const std::string& path) {
-  unsigned char header[kPdsHeaderBytes] = {};
-  std::memcpy(header, kPdsMagic, sizeof(kPdsMagic));
-  PutU32(header + 4, kPdsVersion);
-  PutI64(header + 8, points.rows());
-  PutI64(header + 16, points.cols());
-  size_t payload_bytes = static_cast<size_t>(points.size()) * 4;
-  PutU32(header + 24, Crc32(points.data(), payload_bytes));
-  // header[28..31] stay zero (reserved).
-
-  // Write to a sibling and rename into place so the final name is never a
-  // half-written file.
-  std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot create " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  bool ok = std::fwrite(header, 1, kPdsHeaderBytes, f) == kPdsHeaderBytes;
-  if (ok && payload_bytes > 0) {
-    ok = std::fwrite(points.data(), 1, payload_bytes, f) == payload_bytes;
-  }
-  ok = (std::fclose(f) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::IoError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    int err = errno;
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " to " + path + ": " +
-                           std::strerror(err));
-  }
-  return Status::OK();
+  return WriteChecksummedFile(
+      kPds, static_cast<uint64_t>(points.rows()),
+      static_cast<uint64_t>(points.cols()), points.data(),
+      static_cast<size_t>(points.size()) * 4, path);
 }
 
 Status ReadPds(const std::string& path, data::Matrix* points) {
   PROCLUS_CHECK(points != nullptr);
-  int fd = -1;
-  int64_t file_bytes = 0;
-  PROCLUS_RETURN_NOT_OK(OpenAndStat(path, &fd, &file_bytes));
-  PdsInfo info;
-  Status st = ReadHeaderFromFd(fd, file_bytes, path, &info);
-  if (!st.ok()) {
-    ::close(fd);
-    return st;
-  }
-  data::Matrix m(info.rows, info.cols);
-  auto* out = reinterpret_cast<unsigned char*>(m.data());
-  int64_t got = 0;
-  while (got < info.payload_bytes) {
-    ssize_t n = ::read(fd, out + got,
-                       static_cast<size_t>(info.payload_bytes - got));
-    if (n <= 0) {
-      ::close(fd);
-      return Status::IoError("cannot read .pds payload: " + path);
-    }
-    got += n;
-  }
-  ::close(fd);
-  PROCLUS_RETURN_NOT_OK(VerifyPayloadCrc(m.data(), info, path));
-  *points = std::move(m);
+  data::Matrix mapped;
+  PROCLUS_RETURN_NOT_OK(MapPds(path, &mapped));
+  *points = mapped.Materialize();
   return Status::OK();
 }
 
 Status MapPds(const std::string& path, data::Matrix* points) {
   PROCLUS_CHECK(points != nullptr);
-  int fd = -1;
-  int64_t file_bytes = 0;
-  PROCLUS_RETURN_NOT_OK(OpenAndStat(path, &fd, &file_bytes));
-  PdsInfo info;
-  Status st = ReadHeaderFromFd(fd, file_bytes, path, &info);
-  if (!st.ok()) {
-    ::close(fd);
-    return st;
-  }
-  if (info.payload_bytes == 0) {
-    ::close(fd);
-    *points = data::Matrix(info.rows, info.cols);
-    return Status::OK();
-  }
-  auto mapping = std::make_shared<Mapping>();
-  mapping->len = kPdsHeaderBytes + static_cast<size_t>(info.payload_bytes);
-  mapping->addr = ::mmap(nullptr, mapping->len, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps its own reference to the file
-  if (mapping->addr == MAP_FAILED) {
-    mapping->addr = nullptr;
-    return Status::IoError("cannot mmap " + path + ": " +
-                           std::strerror(errno));
-  }
-  const auto* base = static_cast<const unsigned char*>(mapping->addr);
-  PROCLUS_RETURN_NOT_OK(
-      VerifyPayloadCrc(base + kPdsHeaderBytes, info, path));
-  const auto* payload =
-      reinterpret_cast<const float*>(base + kPdsHeaderBytes);
-  *points = data::Matrix::Borrowed(info.rows, info.cols, payload,
-                                   std::move(mapping));
+  ChecksummedFile file;
+  PROCLUS_RETURN_NOT_OK(ReadChecksummedFile(kPds, path, &file));
+  *points = data::Matrix::Borrowed(
+      static_cast<int64_t>(file.word0), static_cast<int64_t>(file.word1),
+      reinterpret_cast<const float*>(file.payload), std::move(file.mapping));
   return Status::OK();
 }
 

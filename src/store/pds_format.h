@@ -2,65 +2,35 @@
 #define PROCLUS_STORE_PDS_FORMAT_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "common/status.h"
 #include "data/matrix.h"
+#include "store/checksummed_file.h"
 
 namespace proclus::store {
 
-// The `.pds` ("proclus dataset") binary file format, version 1. A fixed
-// 32-byte little-endian header followed by the row-major float32 payload:
-//
-//   offset  size  field
-//   0       4     magic "PDS1"
-//   4       4     uint32 format version (currently 1)
-//   8       8     int64  rows
-//   16      8     int64  cols
-//   24      4     uint32 CRC32 (IEEE) of the payload bytes
-//   28      4     reserved, must be zero
-//   32      4*rows*cols  payload: row-major float32, little-endian
-//
-// The header offset is a multiple of 16 so an mmap'ed payload is suitably
-// aligned for float access on every platform we target. Readers verify the
+// The `.pds` ("proclus dataset") binary file format, version 1: a
+// checksummed file (checksummed_file.h) with magic "PDS1" whose header words
+// are int64 rows and int64 cols, and whose payload is the row-major float32
+// matrix, little-endian — exactly 4*rows*cols bytes. Readers verify the
 // magic, version, shape, file size, and payload checksum before serving any
 // values; a corrupted file is rejected with kIoError rather than loaded.
-inline constexpr char kPdsMagic[4] = {'P', 'D', 'S', '1'};
-inline constexpr uint32_t kPdsVersion = 1;
-inline constexpr size_t kPdsHeaderBytes = 32;
+inline constexpr size_t kPdsHeaderBytes = kChecksummedHeaderBytes;
 inline constexpr const char* kPdsExtension = ".pds";
 
-// CRC32 (IEEE 802.3 polynomial, reflected) of `len` bytes. Pass a previous
-// return value as `seed` to checksum data incrementally; the default seed
-// starts a fresh checksum.
-uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);
-
-// Parsed `.pds` header, as returned by StatPds.
-struct PdsInfo {
-  int64_t rows = 0;
-  int64_t cols = 0;
-  uint32_t crc32 = 0;
-  int64_t payload_bytes = 0;
-};
-
-// Reads and validates the header of the `.pds` file at `path` without
-// touching the payload (magic/version/shape/file-size checks only).
-Status StatPds(const std::string& path, PdsInfo* info);
-
-// Writes `points` to `path` in `.pds` format. The write goes to a
-// `path + ".tmp"` sibling first and is renamed into place, so a crashed
-// writer never leaves a half-written file under the final name.
+// Writes `points` to `path` in `.pds` format, atomically (sibling `.tmp`
+// plus rename).
 Status WritePds(const data::Matrix& points, const std::string& path);
 
-// Loads the `.pds` file at `path` into an owned matrix, verifying the
-// payload checksum. kIoError with a descriptive message on any mismatch.
+// Loads the `.pds` file at `path` into an owned matrix (a copy of the
+// verified mapping). kIoError with a descriptive message on any mismatch.
 Status ReadPds(const std::string& path, data::Matrix* points);
 
 // Maps the `.pds` file at `path` read-only and returns a zero-copy borrowed
 // matrix backed by the mapping (the mapping is released when the last copy
 // of the matrix is destroyed). The payload checksum is verified once, at map
-// time. Falls back to ReadPds semantics on platforms without mmap.
+// time.
 Status MapPds(const std::string& path, data::Matrix* points);
 
 }  // namespace proclus::store

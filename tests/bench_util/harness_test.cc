@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "testing/minijson.h"
+#include "common/json.h"
 
 namespace proclus::bench {
 namespace {
@@ -114,9 +114,9 @@ TEST(TablePrinterTest, WritesJsonMirror) {
   ASSERT_TRUE(in.is_open());
   std::stringstream buffer;
   buffer << in.rdbuf();
-  proclus::testing::JsonValue root;
+  proclus::json::JsonValue root;
   std::string error;
-  ASSERT_TRUE(proclus::testing::ParseJson(buffer.str(), &root, &error))
+  ASSERT_TRUE(proclus::json::Parse(buffer.str(), &root, &error))
       << error;
   EXPECT_EQ(root.Find("title")->string_value, "json \"quoted\" table");
   ASSERT_TRUE(root.Find("columns")->is_array());

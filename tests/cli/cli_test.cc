@@ -7,10 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "data/generator.h"
 #include "data/io.h"
 #include "store/pds_format.h"
-#include "testing/minijson.h"
 
 namespace proclus::cli {
 namespace {
@@ -303,9 +303,9 @@ TEST_F(RunCliTest, TraceOutWritesValidChromeTrace) {
   ASSERT_TRUE(in.is_open());
   std::stringstream buffer;
   buffer << in.rdbuf();
-  proclus::testing::JsonValue root;
+  proclus::json::JsonValue root;
   std::string error;
-  ASSERT_TRUE(proclus::testing::ParseJson(buffer.str(), &root, &error))
+  ASSERT_TRUE(proclus::json::Parse(buffer.str(), &root, &error))
       << error;
   const auto* events = root.Find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -335,9 +335,9 @@ TEST_F(RunCliTest, ExploreModeTracesEverySetting) {
   ASSERT_TRUE(in.is_open());
   std::stringstream buffer;
   buffer << in.rdbuf();
-  proclus::testing::JsonValue root;
+  proclus::json::JsonValue root;
   std::string error;
-  ASSERT_TRUE(proclus::testing::ParseJson(buffer.str(), &root, &error))
+  ASSERT_TRUE(proclus::json::Parse(buffer.str(), &root, &error))
       << error;
   // One "iterative" driver span per grid setting.
   int iterative_spans = 0;

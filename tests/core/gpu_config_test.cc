@@ -198,8 +198,9 @@ TEST(PhaseProfileTest, FastSpendsLessOnDistancesThanBaseline) {
   fast.strategy = Strategy::kFast;
   const ProclusResult a = MustCluster(ds.points, TestParams(), base);
   const ProclusResult b = MustCluster(ds.points, TestParams(), fast);
-  EXPECT_LT(b.stats.phases.compute_distances,
-            a.stats.phases.compute_distances);
+  // The paper's claim is about work, so assert it on the deterministic
+  // distance counter; phase wall times are left to the benchmark.
+  EXPECT_LT(b.stats.euclidean_distances, a.stats.euclidean_distances);
 }
 
 TEST(BlockDimTest, InvalidBlockDimRejected) {

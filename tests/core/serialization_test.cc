@@ -1,10 +1,11 @@
 #include "core/serialization.h"
 
 #include <filesystem>
-#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "core/api.h"
 #include "data/generator.h"
 #include "data/normalize.h"
@@ -30,12 +31,24 @@ ProclusResult SampleResult() {
   return MustCluster(ds.points, params);
 }
 
-TEST(SerializationTest, RoundTripThroughStream) {
+std::string EncodeText(const ProclusResult& result) {
+  return json::Dump(EncodeProclusResult(result));
+}
+
+// Parses and decodes `text` the way the wire and `.pcr` readers do.
+Status DecodeText(const std::string& text, ProclusResult* result) {
+  json::JsonValue value;
+  std::string error;
+  if (!json::Parse(text, &value, &error)) {
+    return Status::InvalidArgument("malformed JSON: " + error);
+  }
+  return DecodeProclusResult(value, result);
+}
+
+TEST(SerializationTest, RoundTripThroughJson) {
   const ProclusResult original = SampleResult();
-  std::stringstream stream;
-  ASSERT_TRUE(WriteResult(original, stream).ok());
   ProclusResult loaded;
-  ASSERT_TRUE(ReadResult(stream, &loaded).ok());
+  ASSERT_TRUE(DecodeText(EncodeText(original), &loaded).ok());
   EXPECT_EQ(loaded.medoids, original.medoids);
   EXPECT_EQ(loaded.dimensions, original.dimensions);
   EXPECT_EQ(loaded.assignment, original.assignment);
@@ -47,7 +60,7 @@ TEST(SerializationTest, RoundTripThroughFile) {
   const auto dir =
       std::filesystem::temp_directory_path() / "proclus_serial_test";
   std::filesystem::create_directories(dir);
-  const std::string path = (dir / "result.txt").string();
+  const std::string path = (dir / "result.json").string();
   const ProclusResult original = SampleResult();
   ASSERT_TRUE(WriteResultToFile(original, path).ok());
   ProclusResult loaded;
@@ -64,48 +77,55 @@ TEST(SerializationTest, OutliersSurviveRoundTrip) {
   result.assignment = {0, kOutlier, 1, kOutlier, 0};
   result.iterative_cost = 0.5;
   result.refined_cost = 0.25;
-  std::stringstream stream;
-  ASSERT_TRUE(WriteResult(result, stream).ok());
   ProclusResult loaded;
-  ASSERT_TRUE(ReadResult(stream, &loaded).ok());
+  ASSERT_TRUE(DecodeText(EncodeText(result), &loaded).ok());
   EXPECT_EQ(loaded.assignment, result.assignment);
   EXPECT_EQ(loaded.NumOutliers(), 2);
 }
 
-TEST(SerializationTest, MissingHeaderRejected) {
-  std::stringstream stream("not a result\n");
+TEST(SerializationTest, NonResultRejected) {
   ProclusResult loaded;
-  EXPECT_FALSE(ReadResult(stream, &loaded).ok());
+  EXPECT_FALSE(DecodeText("not a result\n", &loaded).ok());
+  EXPECT_FALSE(DecodeText("[1, 2, 3]", &loaded).ok());
+  EXPECT_FALSE(DecodeText("{\"medoids\": [1]}", &loaded).ok());
 }
 
 TEST(SerializationTest, TruncatedInputRejected) {
   const ProclusResult original = SampleResult();
-  std::stringstream stream;
-  ASSERT_TRUE(WriteResult(original, stream).ok());
-  const std::string full = stream.str();
+  const std::string full = EncodeText(original);
   // Chop the serialized text at several points; every prefix must fail
   // cleanly (property-style truncation sweep).
   for (const double fraction : {0.1, 0.3, 0.5, 0.7, 0.9, 0.99}) {
-    std::stringstream cut(full.substr(
-        0, static_cast<size_t>(fraction * full.size())));
+    const std::string cut =
+        full.substr(0, static_cast<size_t>(fraction * full.size()));
     ProclusResult loaded;
-    EXPECT_FALSE(ReadResult(cut, &loaded).ok()) << fraction;
+    EXPECT_FALSE(DecodeText(cut, &loaded).ok()) << fraction;
   }
 }
 
 TEST(SerializationTest, OutOfRangeAssignmentRejected) {
-  std::stringstream stream(
-      "proclus-result v1\nk 2\nn 3\nmedoids 1 2\ndims 0 0 1\ndims 1 2 3\n"
-      "iterative_cost 1\nrefined_cost 1\nassignment 0 5 1\n");
   ProclusResult loaded;
-  EXPECT_FALSE(ReadResult(stream, &loaded).ok());
+  EXPECT_FALSE(DecodeText(
+      "{\"medoids\":[1,2],\"dimensions\":[[0,1],[2,3]],"
+      "\"iterative_cost\":1,\"refined_cost\":1,\"assignment\":[0,5,1]}",
+      &loaded).ok());
+}
+
+TEST(SerializationTest, MismatchedMedoidAndDimensionCountsRejected) {
+  ProclusResult loaded;
+  const Status status = DecodeText(
+      "{\"medoids\":[1,2,3],\"dimensions\":[[0,1],[2,3]],"
+      "\"iterative_cost\":1,\"refined_cost\":1,\"assignment\":[0,1,2]}",
+      &loaded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("mismatched medoid/dimension counts"),
+            std::string::npos);
 }
 
 TEST(SerializationTest, MissingFileRejected) {
   ProclusResult loaded;
-  EXPECT_FALSE(ReadResultFromFile("/nonexistent/result.txt", &loaded).ok());
-  std::stringstream stream;
-  EXPECT_FALSE(ReadResult(stream, nullptr).ok());
+  EXPECT_FALSE(ReadResultFromFile("/nonexistent/result.json", &loaded).ok());
+  EXPECT_FALSE(DecodeProclusResult(json::JsonValue::Object(), nullptr).ok());
 }
 
 TEST(SerializationTest, CostsKeepFullPrecision) {
@@ -115,10 +135,8 @@ TEST(SerializationTest, CostsKeepFullPrecision) {
   result.assignment = {0};
   result.iterative_cost = 0.12345678901234567;
   result.refined_cost = 1e-17;
-  std::stringstream stream;
-  ASSERT_TRUE(WriteResult(result, stream).ok());
   ProclusResult loaded;
-  ASSERT_TRUE(ReadResult(stream, &loaded).ok());
+  ASSERT_TRUE(DecodeText(EncodeText(result), &loaded).ok());
   EXPECT_DOUBLE_EQ(loaded.iterative_cost, result.iterative_cost);
   EXPECT_DOUBLE_EQ(loaded.refined_cost, result.refined_cost);
 }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "core/api.h"
 #include "core/result.h"
 #include "data/generator.h"
@@ -18,13 +19,11 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simt/device.h"
-#include "testing/minijson.h"
 
 namespace proclus::core {
 namespace {
 
-using proclus::testing::JsonValue;
-using proclus::testing::ParseJson;
+using proclus::json::JsonValue;
 
 data::Dataset TestData() {
   data::GeneratorConfig config;
@@ -67,7 +66,7 @@ TEST(TraceExportTest, GpuRunEmitsDriverSpansAndKernelEventsThatSum) {
   trace.WriteJson(out);
   JsonValue root;
   std::string error;
-  ASSERT_TRUE(ParseJson(out.str(), &root, &error)) << error;
+  ASSERT_TRUE(proclus::json::Parse(out.str(), &root, &error)) << error;
   const JsonValue* events = root.Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());

@@ -7,13 +7,12 @@
 #include <thread>
 #include <vector>
 
-#include "testing/minijson.h"
+#include "common/json.h"
 
 namespace proclus::obs {
 namespace {
 
-using proclus::testing::JsonValue;
-using proclus::testing::ParseJson;
+using proclus::json::JsonValue;
 
 TEST(CounterTest, IncrementsAtomically) {
   Counter counter;
@@ -98,7 +97,7 @@ TEST(MetricsRegistryTest, WriteJsonEmitsValidGroupedObject) {
   registry.WriteJson(out);
   JsonValue root;
   std::string error;
-  ASSERT_TRUE(ParseJson(out.str(), &root, &error)) << error;
+  ASSERT_TRUE(proclus::json::Parse(out.str(), &root, &error)) << error;
 
   const JsonValue* counters = root.Find("counters");
   ASSERT_NE(counters, nullptr);

@@ -7,13 +7,12 @@
 #include <thread>
 #include <vector>
 
-#include "testing/minijson.h"
+#include "common/json.h"
 
 namespace proclus::obs {
 namespace {
 
-using proclus::testing::JsonValue;
-using proclus::testing::ParseJson;
+using proclus::json::JsonValue;
 
 TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(JsonEscape("plain"), "plain");
@@ -124,7 +123,7 @@ TEST(TraceRecorderTest, WriteJsonEmitsChromeTraceSchema) {
 
   JsonValue root;
   std::string error;
-  ASSERT_TRUE(ParseJson(out.str(), &root, &error)) << error;
+  ASSERT_TRUE(proclus::json::Parse(out.str(), &root, &error)) << error;
   ASSERT_TRUE(root.is_object());
 
   const JsonValue* display = root.Find("displayTimeUnit");
@@ -194,7 +193,7 @@ TEST(TraceRecorderTest, WriteFileRoundTrips) {
   buffer << in.rdbuf();
   JsonValue root;
   std::string error;
-  EXPECT_TRUE(ParseJson(buffer.str(), &root, &error)) << error;
+  EXPECT_TRUE(proclus::json::Parse(buffer.str(), &root, &error)) << error;
 }
 
 TEST(TraceRecorderTest, WriteFileReportsIoError) {

@@ -15,13 +15,16 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/api.h"
 #include "core/canonical.h"
 #include "core/multi_param.h"
 #include "core/params.h"
+#include "data/matrix.h"
 #include "service/job.h"
 #include "simt/device_properties.h"
+#include "store/dataset_store.h"
 
 namespace proclus::service {
 namespace {
@@ -275,7 +278,7 @@ TEST(ResultCacheKeyTest, KeysAreDeterministicAcrossCallsAndOneLine) {
     const Shape shape = RandomShape(&rng);
     const ResultCacheKey key = KeyOf(shape);
     EXPECT_EQ(key.text.find('\n'), std::string::npos);
-    EXPECT_EQ(key.hash, core::CanonicalHash(key.text));
+    EXPECT_EQ(key.hash, Fnv1a64(key.text));
     const std::string hex = key.Hex();
     ASSERT_EQ(hex.size(), 16u);
     for (const char c : hex) {
@@ -284,6 +287,16 @@ TEST(ResultCacheKeyTest, KeysAreDeterministicAcrossCallsAndOneLine) {
           << hex;
     }
   }
+}
+
+TEST(ResultCacheKeyTest, GoldenKeyAndContentHashAreStable) {
+  // Pinned values: cache keys name spill files and cross the wire, and the
+  // content hash names dataset spill files, so neither may drift.
+  EXPECT_EQ(KeyOf(Shape()).Hex(), "8f43b7275fff8780");
+  data::Matrix m(2, 3);
+  const float values[6] = {1.0f, -2.5f, 0.0f, 3.0f, 0.25f, 100.0f};
+  for (int i = 0; i < 6; ++i) m(i / 3, i % 3) = values[i];
+  EXPECT_EQ(store::DatasetStore::ContentHash(m), 0x441660d560e68db7ull);
 }
 
 TEST(ResultCacheKeyTest, RandomShapesRarelyCollideInText) {

@@ -132,6 +132,31 @@ TEST_F(ResultCacheFileTest, PcrRejectsWrongKey) {
   EXPECT_FALSE(ReadPcr(path, other, &loaded).ok());
 }
 
+TEST_F(ResultCacheFileTest, PcrSizeClaimBeyondFileIsRejected) {
+  // A valid v2 header for the right key whose size word claims 4 GiB, in a
+  // 32-byte file: the reader must compare the claim against the real file
+  // size instead of allocating the claimed payload.
+  const ResultCacheKey key = TestKey();
+  unsigned char header[kPcrHeaderBytes] = {'P', 'C', 'R', '1'};
+  const uint64_t claimed = uint64_t{1} << 32;
+  header[4] = static_cast<unsigned char>(kPcrVersion);  // little-endian u32
+  for (int i = 0; i < 8; ++i) {
+    header[8 + i] = static_cast<unsigned char>(key.hash >> (8 * i));
+    header[16 + i] = static_cast<unsigned char>(claimed >> (8 * i));
+  }
+  // CRC32 of an empty payload is 0, and the reserved word stays 0.
+  const std::string path = (dir_ / "huge.pcr").string();
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(header), sizeof(header));
+  ASSERT_EQ(std::filesystem::file_size(path), kPcrHeaderBytes);
+
+  CachedResult loaded;
+  const Status read = ReadPcr(path, key, &loaded);
+  EXPECT_EQ(read.code(), StatusCode::kIoError);
+  EXPECT_NE(read.message().find("payload size mismatch"), std::string::npos)
+      << read.ToString();
+}
+
 TEST(ResultCacheTest, AdmitFinishHitCycle) {
   ResultCache cache(ResultCacheOptions{});
   const ResultCacheKey key = TestKey();

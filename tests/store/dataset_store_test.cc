@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "data/matrix.h"
 #include "obs/metrics.h"
 #include "store/pds_format.h"

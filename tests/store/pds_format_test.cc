@@ -1,13 +1,16 @@
 #include "store/pds_format.h"
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "data/matrix.h"
 
 namespace proclus::store {
@@ -81,15 +84,42 @@ TEST_F(PdsFormatTest, MapIsZeroCopyAndBitIdentical) {
   EXPECT_TRUE(owned == original);
 }
 
-TEST_F(PdsFormatTest, StatReportsHeaderWithoutPayloadRead) {
-  const data::Matrix original = MakeMatrix(5, 3);
-  ASSERT_TRUE(WritePds(original, Path("c.pds")).ok());
-  PdsInfo info;
-  ASSERT_TRUE(StatPds(Path("c.pds"), &info).ok());
-  EXPECT_EQ(info.rows, 5);
-  EXPECT_EQ(info.cols, 3);
-  EXPECT_EQ(info.payload_bytes, 5 * 3 * 4);
-  EXPECT_EQ(info.crc32, Crc32(original.data(), 5 * 3 * 4));
+TEST_F(PdsFormatTest, GoldenBytesV1) {
+  // A 2x3 matrix in .pds v1, built by hand: the on-disk format is frozen.
+  const unsigned char golden[] = {
+      'P',  'D',  'S',  '1',  1,    0,    0,    0,     // magic, version 1
+      2,    0,    0,    0,    0,    0,    0,    0,     // int64 rows
+      3,    0,    0,    0,    0,    0,    0,    0,     // int64 cols
+      0xbb, 0x4e, 0xe1, 0x1d, 0,    0,    0,    0,     // CRC32, reserved
+      0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x20, 0xc0,  // 1.0f, -2.5f
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x40,  // 0.0f, 3.0f
+      0x00, 0x00, 0x80, 0x3e, 0x00, 0x00, 0xc8, 0x42,  // 0.25f, 100.0f
+  };
+  const std::string golden_bytes(reinterpret_cast<const char*>(golden),
+                                 sizeof(golden));
+  EXPECT_EQ(Crc32(golden + kPdsHeaderBytes, 24), 0x1de14ebbu);
+  data::Matrix m(2, 3);
+  const float values[6] = {1.0f, -2.5f, 0.0f, 3.0f, 0.25f, 100.0f};
+  for (int i = 0; i < 6; ++i) m(i / 3, i % 3) = values[i];
+
+  ASSERT_TRUE(WritePds(m, Path("written.pds")).ok());
+  std::ifstream in(Path("written.pds"), std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, golden_bytes);
+
+  std::ofstream(Path("golden.pds"), std::ios::binary) << golden_bytes;
+  data::Matrix owned;
+  ASSERT_TRUE(ReadPds(Path("golden.pds"), &owned).ok());
+  EXPECT_FALSE(owned.borrowed());
+  data::Matrix mapped;
+  ASSERT_TRUE(MapPds(Path("golden.pds"), &mapped).ok());
+  EXPECT_TRUE(mapped.borrowed());
+  for (const data::Matrix* loaded : {&owned, &mapped}) {
+    ASSERT_EQ(loaded->rows(), 2);
+    ASSERT_EQ(loaded->cols(), 3);
+    EXPECT_EQ(std::memcmp(loaded->data(), values, sizeof(values)), 0);
+  }
 }
 
 TEST_F(PdsFormatTest, CorruptedPayloadIsRejected) {
@@ -117,8 +147,20 @@ TEST_F(PdsFormatTest, TruncatedFileIsRejected) {
   std::filesystem::resize_file(Path("e.pds"), kPdsHeaderBytes + 10);
   data::Matrix loaded;
   EXPECT_FALSE(ReadPds(Path("e.pds"), &loaded).ok());
-  PdsInfo info;
-  EXPECT_FALSE(StatPds(Path("e.pds"), &info).ok());
+  EXPECT_FALSE(MapPds(Path("e.pds"), &loaded).ok());
+
+  // A header that claims one row more than the file holds. The CRC covers
+  // only the payload, so it still matches: the size check must catch it.
+  ASSERT_TRUE(WritePds(original, Path("e2.pds")).ok());
+  {
+    std::fstream f(Path("e2.pds"),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);
+    f.put(static_cast<char>(17));  // rows 16 -> 17
+  }
+  const Status lying = MapPds(Path("e2.pds"), &loaded);
+  EXPECT_EQ(lying.code(), StatusCode::kIoError);
+  EXPECT_NE(lying.message().find("truncated .pds file"), std::string::npos);
 }
 
 TEST_F(PdsFormatTest, BadMagicAndVersionAreRejected) {
@@ -147,8 +189,7 @@ TEST_F(PdsFormatTest, MissingFileIsRejected) {
   data::Matrix loaded;
   EXPECT_EQ(ReadPds(Path("missing.pds"), &loaded).code(),
             StatusCode::kIoError);
-  PdsInfo info;
-  EXPECT_EQ(StatPds(Path("missing.pds"), &info).code(), StatusCode::kIoError);
+  EXPECT_EQ(MapPds(Path("missing.pds"), &loaded).code(), StatusCode::kIoError);
 }
 
 TEST_F(PdsFormatTest, WriteToUnwritablePathFails) {

@@ -13,11 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "data/generator.h"
 #include "data/matrix.h"
 #include "service/proclus_service.h"
 #include "store/dataset_store.h"
-#include "store/pds_format.h"
 
 namespace proclus::store {
 namespace {

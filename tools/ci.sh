@@ -5,7 +5,9 @@
 # every host core runs thread blocks, a checked-execution
 # pass that reruns the simt + core GPU suites with PROCLUS_SIMTCHECK=1 (the
 # simulator's race & memory checker; see docs/simt.md), a clang-tidy lint
-# stage over src/ (skipped when clang-tidy is not installed), the
+# stage over src/ (skipped when clang-tidy is not installed), an
+# AddressSanitizer + UBSan pass over the suites that parse untrusted bytes
+# (the .pds/.pcr files, the result codec and the wire protocol), the
 # ThreadSanitizer pass over the concurrency-sensitive suites (same regex as
 # check.sh, now including the obs tracing/metrics tests and the net/ serving
 # suites), a trace smoke that runs the CLI with --trace-out and validates
@@ -69,6 +71,15 @@ echo "== checked execution: simt + core GPU suites under PROCLUS_SIMTCHECK=1 =="
 # production kernels must stay race- and memory-clean as the repo grows.
 (cd build && PROCLUS_SIMTCHECK=1 ctest --output-on-failure -j"$(nproc)" \
     -R 'sanitizer_test|device_test|atomic_test|stream_test|primitives_test|perf_model_test|gpu_backend_test|gpu_config_test|equivalence_test|fast_strategy_test|multi_param_test|multi_param_rng_test|metamorphic_test|trace_export_test')
+
+echo "== ASan+UBSan: file-format, result-codec and wire-parser suites =="
+# The .pds/.pcr container, the result codec and the request/response
+# parsers read untrusted bytes; run their suites under AddressSanitizer +
+# UndefinedBehaviorSanitizer (PROCLUS_SANITIZE=address).
+cmake -B build-asan -S . -DPROCLUS_SANITIZE=address >/dev/null
+cmake --build build-asan -j
+(cd build-asan && ctest --output-on-failure -j"$(nproc)" \
+    -R '^(pds_format_test|dataset_store_test|store_stress_test|result_cache_test|serialization_test|net_protocol_test|net_upload_test|cli_test)$')
 
 if [[ "$SKIP_ANALYZE" == 1 ]]; then
   echo "== skipping analyze =="

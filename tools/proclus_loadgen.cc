@@ -157,15 +157,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed" && ParseI64(value, &i64)) {
       options.params.seed = static_cast<uint64_t>(i64);
     } else if (arg == "--backend") {
-      if (value == "cpu") {
-        options.options.backend = proclus::core::ComputeBackend::kCpu;
-      } else if (value == "mc") {
-        options.options.backend = proclus::core::ComputeBackend::kMultiCore;
-      } else if (value == "gpu") {
-        options.options.backend = proclus::core::ComputeBackend::kGpu;
-      } else {
-        return fail("unknown backend: " + value);
-      }
+      const proclus::Status parsed =
+          proclus::core::BackendFromToken(value, &options.options.backend);
+      if (!parsed.ok()) return fail(parsed.message());
     } else {
       return fail("unknown or malformed flag: " + arg);
     }
